@@ -2,7 +2,7 @@
 
 For a log-supermodular binary prior the worst mechanism is maximally
 biased toward one of the target's values, so the linear program collapses
-to two weighted sums.  Writing w_z(y) = exp(-sum_{i != a} eps_i |y_i - z|)
+to two weighted sums.  Writing w_z(y) = exp(-sum_{i != a} eps_i [y_i != z])
 for the off-target decay, the branch for value z is
 
     nu_z = | ln( sum_y pi^z(y) w_z(y) )
@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution, conditional_slice, from_dense, is_positively_affiliated
+from .dist import (
+    JointDistribution,
+    check_coordinate,
+    conditional_slice,
+    digit_table,
+    from_dense,
+    is_positively_affiliated,
+)
 from .errors import NotAffiliated, UnsupportedAlphabet
 from .mechanism import PrivacyBudget
 
@@ -35,11 +42,9 @@ class ClosedFormResult:
 
 def _branch(dist: JointDistribution, budget: PrivacyBudget, a: int, z: int):
     """Numerator and denominator of the z branch, before the log."""
-    rest_eps = np.delete(budget.eps, a)
     sl_same = conditional_slice(dist, a, z)
     sl_other = conditional_slice(dist, a, 1 - z)
-    digits = sl_same.dist.digits()
-    w = np.exp(-(np.abs(digits - z) @ rest_eps))
+    w = np.exp(-((sl_same.dist.digits() != z) @ np.delete(budget.eps, a)))
     num = math.fsum((sl_same.dist.probs * w).tolist())
     den = math.exp(-budget.eps[a]) * math.fsum((sl_other.dist.probs * w).tolist())
     return num, den
@@ -60,6 +65,7 @@ def nu_closed_form(
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("closed form requires binary coordinates")
+    check_coordinate(dist.n, a)
     affiliated, witness = is_positively_affiliated(dist)
     if not affiliated:
         if not force:
@@ -110,7 +116,7 @@ def random_affiliated(
     """
     theta = rng.normal(0.0, field_scale, size=n)
     coupling = rng.uniform(0.0, coupling_scale, size=(n, n))
-    digits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    digits = digit_table(n, 2).astype(np.float64)
     log_w = digits @ theta
     for i in range(n):
         for j in range(i + 1, n):

@@ -80,9 +80,10 @@ def _digest(path: Optional[str]) -> Optional[str]:
         return None
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, t0: float) -> None:
     report = dict(report)
     report["results"] = _sig(report.get("results", {}))
+    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "csv":
         lines = ["key,value"]
@@ -99,7 +100,7 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(args, inputs: dict, t0: float) -> dict:
+def _base_report(args, inputs: dict) -> dict:
     echo = getattr(args, "_argv", None)
     if echo is None:
         echo = sys.argv[1:]
@@ -108,7 +109,6 @@ def _base_report(args, inputs: dict, t0: float) -> dict:
         "inputs": _sig(inputs),
         "results": {},
         "warnings": [],
-        "timing_ms": round((time.time() - t0) * 1000.0, 3),
     }
 
 
@@ -139,7 +139,7 @@ def _cap(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.time()
     dist, _ = load_distribution(args.dist, cap=_cap(args))
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)}, t0)
+    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     failed = False
     what = args.what
@@ -153,8 +153,7 @@ def cmd_check(args) -> int:
         ok = is_pairwise_positively_correlated(dist)
         results["pairwise_positive"] = ok
         failed = failed or not ok
-    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    _emit(report, args)
+    _emit(report, args, t0)
     return EXIT_FINDING if failed else EXIT_OK
 
 
@@ -163,7 +162,7 @@ def cmd_nu(args) -> int:
     cap = _cap(args)
     dist, model = load_distribution(args.dist, cap=cap)
     budget = _parse_eps(args.eps, dist.n)
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)}, t0)
+    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     results["n"] = dist.n
     results["target"] = args.target
@@ -190,8 +189,7 @@ def cmd_nu(args) -> int:
             results["nu"] = None
             results["not_affiliated_witness"] = [list(w) for w in exc.witness]
             report["warnings"].append(str(exc))
-            report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-            _emit(report, args)
+            _emit(report, args, t0)
             return EXIT_FINDING
         if args.force:
             report["warnings"].append(
@@ -228,8 +226,7 @@ def cmd_nu(args) -> int:
             )
     else:
         raise ParseError(f"unknown method {args.method!r}")
-    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    _emit(report, args)
+    _emit(report, args, t0)
     return code
 
 
@@ -237,7 +234,7 @@ def cmd_bound(args) -> int:
     t0 = time.time()
     dist, _ = load_distribution(args.dist, cap=_cap(args))
     budget = _parse_eps(args.eps, dist.n)
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)}, t0)
+    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     matrix = influence_matrix(dist)
     results["gamma"] = [
@@ -247,29 +244,26 @@ def cmd_bound(args) -> int:
         report["warnings"].append(
             "influence matrix has unbounded entries; no bound applies"
         )
-        report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-        _emit(report, args)
+        _emit(report, args, t0)
         return EXIT_OK
     results["spectral_norm"] = spectral_norm(matrix.gamma)
     try:
         bound = dobrushin_bounds(matrix, budget)
     except SpectralNormTooLarge as exc:
         report["warnings"].append(str(exc))
-        report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-        _emit(report, args)
+        _emit(report, args, t0)
         return EXIT_OK
     results["nu_bound"] = list(bound.nu_bound)
     results["delta"] = bound.delta
     if bound.nu_delta_bound is not None:
         results["nu_delta_bound"] = list(bound.nu_delta_bound)
-    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    _emit(report, args)
+    _emit(report, args, t0)
     return EXIT_OK
 
 
 def cmd_ising(args) -> int:
     t0 = time.time()
-    report = _base_report(args, {}, t0)
+    report = _base_report(args, {})
     results = report["results"]
     code = EXIT_OK
     if args.ising_cmd == "nu-limit":
@@ -313,15 +307,13 @@ def cmd_ising(args) -> int:
         return EXIT_OK
     else:
         raise ParseError(f"unknown ising subcommand {args.ising_cmd!r}")
-    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    _emit(report, args)
+    _emit(report, args, t0)
     return code
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed")
     parser.add_argument("--cap", type=int, default=None,
                         help="dense size cap (also INFERA_CAP)")
 
@@ -406,12 +398,12 @@ def main(argv=None) -> int:
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except InferaError as exc:
+    except (InferaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
+    except Exception as exc:
+        # A defect, not a finding: exit code 1 stays reserved for findings.
+        sys.stderr.write(f"error: unexpected {type(exc).__name__}: {exc}\n")
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -4,13 +4,16 @@ A database is a tuple x = (x_0, ..., x_{n-1}) with every coordinate in
 {0, ..., alphabet_size - 1}.  Probabilities are stored as a flat vector
 indexed little-endian: index(x) = sum_i x_i * alphabet_size**i, so
 coordinate 0 is the least significant digit.
+
+This module is the one place that maps cells to digits.  Everything else
+goes through digit_table, cell_tensor and fix_coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +33,37 @@ DEFAULT_CAP = 2**20
 _NEG_TOL = 1e-12
 
 
-def _digit_table(n: int, alphabet_size: int) -> np.ndarray:
-    """(alphabet_size**n, n) array; row k holds the digits of index k."""
+def digit_table(n: int, alphabet_size: int) -> np.ndarray:
+    """(alphabet_size**n, n) array; row k holds the digits of cell k.
+
+    Typed np.min_scalar_type(alphabet_size - 1), so uint8 for binary.
+    """
     idx = np.arange(alphabet_size**n)
-    digits = np.empty((idx.size, n), dtype=np.int64)
+    digits = np.empty((idx.size, n), dtype=np.min_scalar_type(alphabet_size - 1))
     for i in range(n):
         digits[:, i] = (idx // alphabet_size**i) % alphabet_size
     return digits
+
+
+def cell_tensor(flat: np.ndarray, n: int, alphabet_size: int) -> np.ndarray:
+    """View a flat cell vector as an (alphabet_size,)*n tensor; axis i is x_i."""
+    return np.asarray(flat).reshape((alphabet_size,) * n, order="F")
+
+
+def check_coordinate(n: int, a: int) -> None:
+    """Raise DimensionMismatch unless 0 <= a < n."""
+    if not 0 <= a < n:
+        raise DimensionMismatch(f"coordinate {a} out of range for n={n}")
+
+
+def fix_coordinate(flat: np.ndarray, n: int, alphabet_size: int, a: int, z: int) -> np.ndarray:
+    """Entries of flat with x_a = z, flattened little-endian over the
+    remaining n - 1 coordinates in their original order."""
+    check_coordinate(n, a)
+    if not 0 <= z < alphabet_size:
+        raise DimensionMismatch(f"value {z} outside alphabet")
+    block = np.take(cell_tensor(flat, n, alphabet_size), z, axis=a)
+    return block.reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -56,7 +83,7 @@ class JointDistribution:
         self.probs.setflags(write=False)
 
     def digits(self) -> np.ndarray:
-        return _digit_table(self.n, self.alphabet_size)
+        return digit_table(self.n, self.alphabet_size)
 
     def index_of(self, x: Sequence[int]) -> int:
         return int(sum(int(v) * self.alphabet_size**i for i, v in enumerate(x)))
@@ -66,10 +93,9 @@ class JointDistribution:
 
     def marginal_of(self, i: int) -> np.ndarray:
         """Distribution of coordinate i."""
-        a = self.alphabet_size
-        shaped = self.probs.reshape((a,) * self.n, order="F")
+        check_coordinate(self.n, i)
         axes = tuple(k for k in range(self.n) if k != i)
-        return shaped.sum(axis=axes)
+        return cell_tensor(self.probs, self.n, self.alphabet_size).sum(axis=axes)
 
 
 @dataclass(frozen=True)
@@ -154,7 +180,7 @@ def parity_constrained(r: int, s: int, cap: int = DEFAULT_CAP) -> JointDistribut
     n = 1 + r * s
     if 2**n > cap:
         raise SizeCap(f"{2**n} entries exceed cap {cap}")
-    digits = _digit_table(n, 2)
+    digits = digit_table(n, 2)
     ok = np.ones(digits.shape[0], dtype=bool)
     for i in range(r):
         row = digits[:, 1 + i * s : 1 + (i + 1) * s].sum(axis=1)
@@ -167,17 +193,11 @@ def conditional_slice(dist: JointDistribution, a: int, z: int) -> ConditionalSli
 
     Raises InsufficientSupport when Pr(x_a = z) = 0.
     """
-    if not 0 <= a < dist.n:
-        raise DimensionMismatch(f"coordinate {a} out of range for n={dist.n}")
-    if not 0 <= z < dist.alphabet_size:
-        raise DimensionMismatch(f"value {z} outside alphabet")
-    alph = dist.alphabet_size
-    shaped = dist.probs.reshape((alph,) * dist.n, order="F")
-    block = np.take(shaped, z, axis=a).reshape(-1, order="F")
+    block = fix_coordinate(dist.probs, dist.n, dist.alphabet_size, a, z)
     mass = math.fsum(block.tolist())
     if mass <= 0.0:
         raise InsufficientSupport(f"Pr(x_{a} = {z}) = 0")
-    inner = JointDistribution(n=dist.n - 1, alphabet_size=alph, probs=block / mass)
+    inner = JointDistribution(n=dist.n - 1, alphabet_size=dist.alphabet_size, probs=block / mass)
     return ConditionalSlice(target=a, value=z, mass=mass, dist=inner)
 
 
@@ -189,29 +209,27 @@ def is_positively_affiliated(dist: JointDistribution):
     enough to test pairs differing in exactly two coordinates; violations
     elsewhere always induce one at such a pair, so the reduction is exact
     for strictly positive priors and is the check used here throughout.
-    Zero entries compare as plain products (0 >= positive fails).
+    Zero entries compare as plain products (0 >= positive fails).  The
+    scan runs over coordinate pairs (i, j), each vectorised over its
+    2**(n-2) meets, and returns the first violating pair it finds.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("affiliation check requires binary coordinates")
-    p = dist.probs
     n = dist.n
-    for idx in range(2**n):
-        for i in range(n):
-            if idx >> i & 1:
-                continue
-            for j in range(i + 1, n):
-                if idx >> j & 1:
-                    continue
-                # idx has zeros at i and j: it is the meet of the pair
-                # (idx + 2^i, idx + 2^j) whose join is idx + 2^i + 2^j.
-                lo = p[idx]
-                hi = p[idx + (1 << i) + (1 << j)]
-                left = p[idx + (1 << i)]
-                right = p[idx + (1 << j)]
-                if hi * lo < left * right * (1.0 - 1e-12):
-                    x1 = tuple((idx + (1 << i)) >> k & 1 for k in range(n))
-                    x2 = tuple((idx + (1 << j)) >> k & 1 for k in range(n))
-                    return False, (x1, x2)
+    p = cell_tensor(dist.probs, n, 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # q[u, v] is the face x_i = u, x_j = v over the other n - 2
+            # coordinates; cell by cell, q[0, 0] is the meet and q[1, 1]
+            # the join of the pair q[1, 0], q[0, 1].
+            q = np.moveaxis(p, (i, j), (0, 1))
+            bad = q[1, 1] * q[0, 0] < q[1, 0] * q[0, 1] * (1.0 - 1e-12)
+            if np.any(bad):
+                rest = iter(np.argwhere(bad)[0].tolist())
+                x = [0 if k in (i, j) else next(rest) for k in range(n)]
+                x1, x2 = list(x), list(x)
+                x1[i] = x2[j] = 1
+                return False, (tuple(x1), tuple(x2))
     return True, None
 
 

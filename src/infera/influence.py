@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointDistribution
+from .dist import JointDistribution, cell_tensor
 from .errors import (
     DegenerateDistribution,
     NoConvergence,
@@ -62,7 +62,7 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
     if n < 1:
         raise DegenerateDistribution("empty distribution")
     gamma = np.zeros((n, n))
-    shaped = dist.probs.reshape((alph,) * n, order="F")
+    shaped = cell_tensor(dist.probs, n, alph)
     for i in range(n):
         # Axis 0 holds x_i's value, the rest are the context coordinates.
         table = np.moveaxis(shaped, i, 0)
@@ -94,29 +94,12 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
     return InfluenceMatrix(gamma=gamma)
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = 1e-10, cap: int = 100_000) -> float:
-    """Largest singular value by power iteration on matrix.T @ matrix.
-
-    The start vector is the deterministic all-ones direction, which for a
-    nonnegative matrix always overlaps the top eigenvector.
-    """
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value; raises UnboundedInfluence on infinite entries."""
     m = np.asarray(matrix, dtype=np.float64)
     if np.any(np.isinf(m)):
         raise UnboundedInfluence("matrix has unbounded entries")
-    gram = m.T @ m
-    v = np.full(gram.shape[0], 1.0 / math.sqrt(gram.shape[0]))
-    lam = 0.0
-    for _ in range(cap):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ gram @ v)
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return math.sqrt(new)
-        lam = new
-    raise NoConvergence("power iteration did not settle")
+    return float(np.linalg.norm(m, 2))
 
 
 def dobrushin_bounds(matrix: InfluenceMatrix, budget: PrivacyBudget) -> DobrushinBound:

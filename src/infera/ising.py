@@ -31,9 +31,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dist import DEFAULT_CAP, JointDistribution, from_dense
+from .dist import DEFAULT_CAP, JointDistribution, digit_table, from_dense
 from .errors import DimensionMismatch, NoConvergence, SizeCap
-from .mechanism import PrivacyBudget
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_CAP = 10**6
@@ -101,8 +100,7 @@ def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> Jo
     n = model.n
     if 2**n > cap:
         raise SizeCap(f"tree with {n} nodes needs 2**{n} entries, cap {cap}")
-    digits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    sigma = 1.0 - 2.0 * digits
+    sigma = 1.0 - 2.0 * digit_table(n, 2)
     energy = model.h0 * sigma.sum(axis=1)
     for i, j in model.edges():
         energy += model.J * sigma[:, i] * sigma[:, j]
@@ -128,16 +126,15 @@ def magnetization_exact(
     else:
         dist = target
         if field_offset != 0.0:
-            digits = dist.digits()
-            tilt = field_offset * (1.0 - 2.0 * digits).sum(axis=1)
+            tilt = field_offset * (dist.n - 2.0 * dist.digits().sum(axis=1))
             dist = from_dense(
                 dist.n,
                 dist.alphabet_size,
                 dist.probs * np.exp(tilt - tilt.max()),
                 cap=cap,
             )
-    sigma_site = 1.0 - 2.0 * dist.digits()[:, site]
-    return float(math.fsum((dist.probs * sigma_site).tolist()))
+    marg = dist.marginal_of(site)
+    return float(marg[0] - marg[1])
 
 
 def nu_gibbs(model: IsingTreeModel, eps: float, site: int, cap: int = DEFAULT_CAP) -> float:
@@ -234,8 +231,8 @@ def enforceable_epsilon(
     nu(eps) >= eps always, so the answer lies in (0, target_nu]; it is
     found by bisection.  Returns None when even a vanishing budget leaks
     more than the target (supercritical coupling with the target below
-    the inference floor).  Monotonicity of nu in eps is asserted on the
-    evaluated points.
+    the inference floor).  A bisection step that finds nu decreasing in
+    eps raises NoConvergence.
     """
     if target_nu <= 0.0:
         raise DimensionMismatch("target must be positive")
@@ -245,15 +242,16 @@ def enforceable_epsilon(
     nu_lo = nu_bethe_limit(J, lo, d)
     if nu_lo > target_nu:
         return None
-    hi, nu_hi = target_nu, None
+    hi = target_nu
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         nu_mid = nu_bethe_limit(J, mid, d)
-        assert nu_lo <= nu_mid + 1e-12, "nu must be nondecreasing in eps"
+        if nu_mid < nu_lo - 1e-12:
+            raise NoConvergence(f"nu decreased from {nu_lo} to {nu_mid} as eps rose to {mid}")
         if nu_mid <= target_nu:
             lo, nu_lo = mid, nu_mid
         else:
-            hi, nu_hi = mid, nu_mid
+            hi = mid
     return lo
 
 
@@ -274,7 +272,3 @@ def sensitivity_profile(
         down = w0 - math.log(bethe_fixed_point(J, h0 - 0.5 * eps, d).x)
         out.append((float(eps), max(up, down)))
     return out
-
-
-def uniform_budget(model: IsingTreeModel, eps: float) -> PrivacyBudget:
-    return PrivacyBudget.uniform(model.n, eps)

@@ -21,8 +21,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dist import JointDistribution, conditional_slice
-from .errors import DegenerateDistribution, LPError, SizeCap
+from .dist import JointDistribution, conditional_slice, fix_coordinate
+from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from .simplex import STATUS_OPTIMAL, SimplexResult, simplex_solve
 
@@ -68,31 +68,25 @@ def build_lp(
     """
     n, alph = dist.n, dist.alphabet_size
     if budget.n != n:
-        raise SizeCap(f"budget length {budget.n} != n={n}")
+        raise DimensionMismatch(f"budget length {budget.n} != n={n}")
     z0, z1 = direction
     size = alph**n
-    digits = dist.digits()
+    # cells[k] = k; fixing x_i = u lists the cells with that digit in
+    # increasing order, aligned with the slices conditional_slice returns.
+    cells = np.arange(size)
 
-    sl0 = conditional_slice(dist, a, z0)
-    sl1 = conditional_slice(dist, a, z1)
     c = np.zeros(size)
     e = np.zeros(size)
-    weights = alph ** np.arange(n - 1)
-    rest = np.delete(digits, a, axis=1)
-    ridx = rest @ weights
-    mask1 = digits[:, a] == z1
-    mask0 = digits[:, a] == z0
-    c[mask1] = sl1.dist.probs[ridx[mask1]]
-    e[mask0] = sl0.dist.probs[ridx[mask0]]
+    c[fix_coordinate(cells, n, alph, a, z1)] = conditional_slice(dist, a, z1).dist.probs
+    e[fix_coordinate(cells, n, alph, a, z0)] = conditional_slice(dist, a, z0).dist.probs
 
     rows = []
     for i in range(n):
         gain = math.exp(budget.eps[i])
-        stride = alph**i
         for u in range(alph):
-            base = np.flatnonzero(digits[:, i] == u)
+            base = fix_coordinate(cells, n, alph, i, u)
             for v in range(u + 1, alph):
-                other = base + (v - u) * stride
+                other = fix_coordinate(cells, n, alph, i, v)
                 for lo, hi in ((base, other), (other, base)):
                     block = np.zeros((base.size, size))
                     block[np.arange(base.size), lo] = 1.0

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dist import JointDistribution, conditional_slice
+from .dist import JointDistribution, cell_tensor, conditional_slice, digit_table, fix_coordinate
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 _RATIO_TOL = 1e-15
@@ -25,7 +25,7 @@ _RATIO_TOL = 1e-15
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-coordinate differential privacy parameters, all nonnegative.
+    """Per-coordinate differential privacy parameters, all finite and nonnegative.
 
     An all-zero budget is legal; it forces every profile ratio to one.
     """
@@ -36,8 +36,8 @@ class PrivacyBudget:
         e = np.asarray(self.eps, dtype=np.float64)
         if e.ndim != 1:
             raise DimensionMismatch("budget must be a flat vector")
-        if np.any(e < 0.0):
-            raise NegativeProbability(f"negative budget entry in {e}")
+        if not np.all(np.isfinite(e) & (e >= 0.0)):
+            raise NegativeProbability(f"budget entries must be finite and nonnegative, got {e}")
         object.__setattr__(self, "eps", e)
         self.eps.setflags(write=False)
 
@@ -101,12 +101,6 @@ class OutcomeTable:
         self.table.setflags(write=False)
 
 
-def _slice_axis(flat: np.ndarray, n: int, alphabet: int, a: int, z: int) -> np.ndarray:
-    """Fix coordinate a to value z and flatten back little-endian."""
-    shaped = flat.reshape((alphabet,) * n, order="F")
-    return np.take(shaped, z, axis=a).reshape(-1, order="F")
-
-
 def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:
     """Profile m(x) = exp(-sum_i eps_i * |x_i - z|) for binary databases.
 
@@ -118,33 +112,22 @@ def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:
         raise DimensionMismatch("budget length must equal n")
     if z not in (0, 1):
         raise UnsupportedAlphabet("bias target must be a binary value")
-    digits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    dist_to_z = np.abs(digits - z) @ budget.eps
+    dist_to_z = (digit_table(n, 2) != z) @ budget.eps
     return EventProfile(n=n, alphabet_size=2, values=np.exp(-dist_to_z))
 
 
 def noisy_sum_tail_profile(n: int, eps: float, z: int) -> EventProfile:
-    """Tail-event profile of the Laplace noisy sum, computed exactly.
+    """Tail-event profile of the Laplace noisy sum.
 
     The mechanism releases sum(x) + Y with Y Laplace of scale 1/eps.  For
     z = 0 the event is {output <= 0} and m(x) = exp(-eps*|x|) / 2; for
     z = 1 it is {output >= n} and m(x) = exp(-eps*(n - |x|)) / 2.  Both
-    are proportional to the corresponding maximally biased profile, which
-    is asserted here.
+    are half the maximally z-biased profile under the uniform budget.
     """
     if eps <= 0.0:
         raise NegativeProbability("eps must be positive")
-    digits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    ones = digits.sum(axis=1)
-    if z == 0:
-        values = 0.5 * np.exp(-eps * ones)
-    elif z == 1:
-        values = 0.5 * np.exp(-eps * (n - ones))
-    else:
-        raise UnsupportedAlphabet("tail direction must be 0 or 1")
-    ref = max_biased_profile(n, PrivacyBudget.uniform(n, eps), z).values
-    assert np.allclose(values, 0.5 * ref, rtol=1e-12, atol=0.0)
-    return EventProfile(n=n, alphabet_size=2, values=values)
+    biased = max_biased_profile(n, PrivacyBudget.uniform(n, eps), z)
+    return EventProfile(n=n, alphabet_size=2, values=0.5 * biased.values)
 
 
 def sample_noisy_sum(
@@ -178,7 +161,7 @@ def parity_mechanism_m1_profile(r: int, s: int, eps: float) -> EventProfile:
     if eps <= 0.0:
         raise NegativeProbability("eps must be positive")
     n = 1 + r * s
-    digits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    digits = digit_table(n, 2)
     odd = digits[:, 0] % 2
     for i in range(r):
         row = digits[:, 1 + i * s : 1 + (i + 1) * s].sum(axis=1)
@@ -192,7 +175,7 @@ def dp_audit(profile: EventProfile) -> PrivacyBudget:
     eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i.
     """
     a = profile.alphabet_size
-    logs = np.log(profile.values).reshape((a,) * profile.n, order="F")
+    logs = cell_tensor(np.log(profile.values), profile.n, a)
     eps = np.zeros(profile.n)
     for i in range(profile.n):
         swept = np.moveaxis(logs, i, 0).reshape(a, -1)
@@ -212,7 +195,7 @@ def _profile_nu(dist: JointDistribution, values: np.ndarray, a: int) -> float:
     means = {}
     for z in supported:
         sl = conditional_slice(dist, a, z)
-        vz = _slice_axis(values, dist.n, dist.alphabet_size, a, z)
+        vz = fix_coordinate(values, dist.n, dist.alphabet_size, a, z)
         means[z] = math.fsum((sl.dist.probs * vz).tolist())
     best = 0.0
     unbounded = False

@@ -18,8 +18,8 @@ from infera.dist import (
     perfectly_correlated,
     product,
 )
-from infera.errors import NotAffiliated
-from infera.ising import IsingTreeModel, ising_tree_distribution, uniform_budget
+from infera.errors import DimensionMismatch, NotAffiliated
+from infera.ising import IsingTreeModel, ising_tree_distribution
 from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget, max_biased_profile, mechanism_nu
 
@@ -56,7 +56,7 @@ def test_result_internal_consistency():
 def test_matches_lp_on_tree():
     model = IsingTreeModel(d=2, depth=2, J=0.3, h0=0.1)
     dist = ising_tree_distribution(model)
-    b = uniform_budget(model, 0.2)
+    b = PrivacyBudget.uniform(model.n, 0.2)
     for a in (0, 1, 3):
         lhs = nu_closed_form(dist, b, a).nu
         rhs = nu_exact(dist, b, a).nu
@@ -156,3 +156,12 @@ def test_random_affiliated_is_affiliated():
         d = random_affiliated(n, rng)
         ok, witness = is_positively_affiliated(d)
         assert ok and witness is None
+
+
+def test_closed_form_rejects_out_of_range_target():
+    # The non-affiliated parity prior must not turn a bad target into a
+    # NotAffiliated finding.
+    for d in (product([[0.5, 0.5]] * 3), parity_constrained(1, 2)):
+        for a in (3, 7, -1):
+            with pytest.raises(DimensionMismatch):
+                nu_closed_form(d, PrivacyBudget.uniform(3, 0.3), a)

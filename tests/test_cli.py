@@ -32,6 +32,8 @@ TWINS = {"generator": "twins", "params": {"n": 2, "p_one": 0.5}}
 PRODUCT = {"generator": "product", "params": {"marginals": [[0.3, 0.7], [0.6, 0.4]]}}
 PARITY = {"generator": "parity", "params": {"r": 2, "s": 2}}
 TREE = {"generator": "ising_tree", "params": {"d": 2, "depth": 2, "J": 0.3, "h0": 0.1}}
+TREE3 = {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3}}
+DENSE3 = {"n": 3, "alphabet": 2, "probs": [0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1]}
 
 
 def test_check_flags_parity_prior(write_json, capsys):
@@ -260,3 +262,27 @@ def test_csv_format_and_out_file(write_json, capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(open(target).read())["results"]["affiliated"] is True
+
+
+@pytest.mark.parametrize("method", ["exact", "closed-form", "gibbs"])
+@pytest.mark.parametrize("target", ["7", "-1"])
+def test_nu_out_of_range_target_is_an_error(write_json, capsys, method, target):
+    path = write_json("tree3.json", TREE3)
+    code = main(["nu", "--dist", path, "--eps", "0.2", "--target", target, "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("prior,argv", [
+    (TWINS, ["--eps", "inf", "--method", "closed-form"]),
+    (DENSE3, ["--eps", "nan"]),
+])
+def test_nu_rejects_non_finite_eps(write_json, capsys, prior, argv):
+    path = write_json("prior.json", prior)
+    code = main(["nu", "--dist", path] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_monotone, random_prior
+from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
+    cell_tensor,
     conditional_slice,
+    digit_table,
+    fix_coordinate,
     from_dense,
     is_pairwise_positively_correlated,
     is_positively_affiliated,
@@ -252,3 +255,84 @@ def test_immutability():
     d = perfectly_correlated(2, 0.5)
     with pytest.raises(ValueError):
         d.probs[0] = 0.9
+
+
+# --- cell layout ----------------------------------------------------------
+
+def _digits_of(k, n, alph):
+    return [k // alph**i % alph for i in range(n)]
+
+
+def test_digit_table_matches_bit_table():
+    for n in range(1, 9):
+        table = digit_table(n, 2)
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, bit_table(n))
+
+
+def test_digit_table_round_trips_alphabet_3():
+    d = from_dense(3, 3, np.ones(27))
+    table = d.digits()
+    assert np.array_equal(table, [_digits_of(k, 3, 3) for k in range(27)])
+    for k, row in enumerate(table):
+        assert d.index_of(row) == k
+
+
+def test_cell_tensor_and_fix_coordinate_match_index_loops():
+    rng = np.random.default_rng(16)
+    for n, alph in ((1, 2), (3, 2), (4, 2), (3, 3), (2, 4)):
+        size = alph**n
+        flat = rng.uniform(size=size)
+        tensor = cell_tensor(flat, n, alph)
+        for k in range(size):
+            assert tensor[tuple(_digits_of(k, n, alph))] == flat[k]
+        for a in range(n):
+            for z in range(alph):
+                want = [flat[k] for k in range(size) if _digits_of(k, n, alph)[a] == z]
+                assert np.array_equal(fix_coordinate(flat, n, alph, a, z), want)
+
+
+def test_coordinate_range_checks():
+    d = product([[0.5, 0.5]] * 3)
+    for a in (3, 7, -1):
+        with pytest.raises(DimensionMismatch):
+            d.marginal_of(a)
+        with pytest.raises(DimensionMismatch):
+            conditional_slice(d, a, 0)
+    for z in (2, -1):
+        with pytest.raises(DimensionMismatch):
+            fix_coordinate(d.probs, 3, 2, 0, z)
+
+
+def _lattice_holds(p):
+    """p(x | y) p(x & y) >= p(x) p(y) over every pair of cell indices:
+    bitwise or and and of two little-endian indices are join and meet."""
+    idx = np.arange(p.size)
+    join = p[np.bitwise_or.outer(idx, idx)]
+    meet = p[np.bitwise_and.outer(idx, idx)]
+    return bool(np.all(join * meet >= np.outer(p, p) * (1.0 - 1e-12)))
+
+
+def test_affiliation_verdict_matches_all_pairs_brute_force():
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for k in range(240):
+        n = int(rng.integers(2, 7))
+        if k % 3 == 0:
+            d = random_prior(rng, n, floor=0.05)
+        else:
+            d = random_affiliated(n, rng)
+            if k % 3 == 2:
+                # Perturb one cell: sometimes enough to break affiliation.
+                w = d.probs.copy()
+                w[rng.integers(w.size)] *= rng.uniform(0.3, 3.0)
+                d = from_dense(n, 2, w)
+        ok, witness = is_positively_affiliated(d)
+        assert ok == _lattice_holds(d.probs)
+        if not ok:
+            x1, x2 = witness
+            join = tuple(max(u, v) for u, v in zip(x1, x2))
+            meet = tuple(min(u, v) for u, v in zip(x1, x2))
+            assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
+        verdicts.append(ok)
+    assert 40 <= sum(verdicts) <= 200

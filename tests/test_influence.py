@@ -14,7 +14,6 @@ import pytest
 from conftest import random_budget, random_prior
 from infera.dist import from_dense, perfectly_correlated, product
 from infera.errors import (
-    NoConvergence,
     SpectralNormTooLarge,
     UnboundedInfluence,
 )
@@ -150,11 +149,6 @@ def test_spectral_norm_matches_svd():
         m = rng.uniform(0.0, 1.0, size=(n, n))
         want = float(np.linalg.norm(m, 2))
         assert abs(spectral_norm(m) - want) <= 1e-8 * max(1.0, want)
-
-
-def test_spectral_norm_no_convergence():
-    with pytest.raises(NoConvergence):
-        spectral_norm(np.array([[0.0, 0.5], [0.5, 0.0]]), cap=1)
 
 
 # --- contraction bounds -------------------------------------------------

@@ -19,7 +19,6 @@ from infera.ising import (
     nu_gibbs,
     sensitivity_profile,
     tree_root_ratios,
-    uniform_budget,
 )
 
 
@@ -158,13 +157,6 @@ def test_nu_gibbs_rejects_bad_budget():
         nu_gibbs(m, 0.0, 0)
 
 
-def test_uniform_budget_shape():
-    m = IsingTreeModel(d=3, depth=1, J=0.3)
-    b = uniform_budget(m, 0.25)
-    assert b.n == 4
-    assert np.array_equal(b.eps, np.full(4, 0.25))
-
-
 # --- branch recursion ----------------------------------------------------
 
 def test_fixed_point_basic_laws():
@@ -298,3 +290,14 @@ def test_sensitivity_saturation_scenario():
 def test_sensitivity_rejects_nonpositive_budget():
     with pytest.raises(DimensionMismatch):
         sensitivity_profile(0.3, 0.1, 2, [0.2, 0.0])
+
+
+def test_enforceable_epsilon_refuses_a_decreasing_nu(monkeypatch):
+    # nu drops from 0.2 at the bisection's low end to 0.04 at its first
+    # midpoint, which a correct nu(eps) never does.
+    def fake(J, eps, d):
+        return 0.8 if eps == 0.4 else (0.2 if eps < 1e-6 else 0.04)
+
+    monkeypatch.setattr("infera.ising.nu_bethe_limit", fake)
+    with pytest.raises(NoConvergence):
+        enforceable_epsilon(0.4, 0.3, 2)

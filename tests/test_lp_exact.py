@@ -8,7 +8,7 @@ import pytest
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
-from infera.errors import DegenerateDistribution, SizeCap
+from infera.errors import DegenerateDistribution, DimensionMismatch, SizeCap
 from infera.lp_exact import build_lp, nu_exact
 from infera.mechanism import PrivacyBudget, dp_audit, max_biased_profile
 from infera.simplex import (
@@ -249,3 +249,9 @@ def test_nu_exact_guards():
             PrivacyBudget.uniform(2, 0.1),
             0,
         )
+
+
+def test_build_lp_rejects_budget_of_wrong_length():
+    d = product([[0.5, 0.5]] * 3)
+    with pytest.raises(DimensionMismatch):
+        build_lp(d, PrivacyBudget.uniform(2, 0.1), 0, (0, 1))

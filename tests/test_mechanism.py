@@ -25,6 +25,9 @@ from infera.mechanism import (
 def test_budget_validation():
     with pytest.raises(NegativeProbability):
         PrivacyBudget(np.array([0.5, -0.1]))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NegativeProbability):
+            PrivacyBudget(np.array([0.5, bad]))
     with pytest.raises(DimensionMismatch):
         PrivacyBudget(np.zeros((2, 2)))
     b = PrivacyBudget.uniform(3, 0.2)
