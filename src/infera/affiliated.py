@@ -2,11 +2,10 @@
 
 For a log-supermodular binary prior the worst mechanism is maximally
 biased toward one of the target's values, so the linear program collapses
-to two weighted sums.  Writing w_z(y) = exp(-sum_{i != a} eps_i [y_i != z])
-for the off-target decay, the branch for value z is
+to two conditional means.  Writing m_z(x) = exp(-sum_i eps_i [x_i != z])
+for the maximally z-biased profile, the branch for value z is
 
-    nu_z = | ln( sum_y pi^z(y) w_z(y) )
-            - ln( e^{-eps_a} sum_y pi^{1-z}(y) w_z(y) ) |
+    nu_z = | ln E[m_z | x_a = z] - ln E[m_z | x_a = 1 - z] |
 
 and the parameter is max(nu_0, nu_1).
 """
@@ -22,13 +21,13 @@ import numpy as np
 from .dist import (
     JointDistribution,
     check_coordinate,
-    conditional_slice,
+    conditional_mean,
     digit_table,
     from_dense,
     is_positively_affiliated,
 )
 from .errors import NotAffiliated, UnsupportedAlphabet
-from .mechanism import PrivacyBudget
+from .mechanism import PrivacyBudget, max_biased_values
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,10 @@ class ClosedFormResult:
 
 
 def _branch(dist: JointDistribution, budget: PrivacyBudget, a: int, z: int):
-    """Numerator and denominator of the z branch, before the log."""
-    sl_same = conditional_slice(dist, a, z)
-    sl_other = conditional_slice(dist, a, 1 - z)
-    w = np.exp(-((sl_same.dist.digits() != z) @ np.delete(budget.eps, a)))
-    num = math.fsum((sl_same.dist.probs * w).tolist())
-    den = math.exp(-budget.eps[a]) * math.fsum((sl_other.dist.probs * w).tolist())
-    return num, den
+    """Numerator and denominator of the z branch, before the log:
+    E[m_z | x_a = z] and E[m_z | x_a = 1 - z]."""
+    m = max_biased_values(dist.n, budget, z)
+    return conditional_mean(dist, m, a, z), conditional_mean(dist, m, a, 1 - z)
 
 
 def nu_closed_form(

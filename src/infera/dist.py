@@ -201,20 +201,47 @@ def conditional_slice(dist: JointDistribution, a: int, z: int) -> ConditionalSli
     return ConditionalSlice(target=a, value=z, mass=mass, dist=inner)
 
 
+def conditional_mean(dist: JointDistribution, values: np.ndarray, a: int, z: int) -> float:
+    """E[values | x_a = z] for a flat vector of cell values; raises
+    InsufficientSupport when Pr(x_a = z) = 0."""
+    sl = conditional_slice(dist, a, z)
+    vz = fix_coordinate(values, dist.n, dist.alphabet_size, a, z)
+    return math.fsum((sl.dist.probs * vz).tolist())
+
+
+# Pairs of supported cells the full lattice check may compare.  It runs
+# in row blocks of about _LATTICE_BLOCK pairs, so its temporaries stay
+# at a few MB whatever the support.
+LATTICE_PAIR_CAP = 2**30
+_LATTICE_BLOCK = 2**18
+
+
 def is_positively_affiliated(dist: JointDistribution):
     """Check log-supermodularity of the prior on the binary hypercube.
 
     Returns (True, None) or (False, witness) where the witness is a pair
-    of databases violating p(x v x') * p(x ^ x') >= p(x) * p(x').  It is
-    enough to test pairs differing in exactly two coordinates; violations
-    elsewhere always induce one at such a pair, so the reduction is exact
-    for strictly positive priors and is the check used here throughout.
-    Zero entries compare as plain products (0 >= positive fails).  The
-    scan runs over coordinate pairs (i, j), each vectorised over its
-    2**(n-2) meets, and returns the first violating pair it finds.
+    of databases violating p(x v x') * p(x ^ x') >= p(x) * p(x') (with a
+    1e-12 relative slack).
+
+    A strictly positive prior is log-supermodular as soon as the
+    inequality holds at every pair differing in exactly two coordinates
+    (Karlin & Rinott 1980).  For such priors the scan runs over coordinate
+    pairs (i, j), each vectorised over its 2**(n-2) meets.  With zero
+    cells that reduction is unsound: the uniform prior on {100, 011, 111}
+    passes it, yet p(111) p(000) = 0 < p(100) p(011).  Such priors are
+    checked at every pair of supported cells (a pair with an unsupported
+    member holds trivially), |support|**2 comparisons, and SizeCap is
+    raised above LATTICE_PAIR_CAP of them.  Either way the first violating
+    pair found is the witness.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("affiliation check requires binary coordinates")
+    if np.all(dist.probs > 0.0):
+        return _adjacent_scan(dist)
+    return _lattice_scan(dist)
+
+
+def _adjacent_scan(dist: JointDistribution):
     n = dist.n
     p = cell_tensor(dist.probs, n, 2)
     for i in range(n):
@@ -233,16 +260,41 @@ def is_positively_affiliated(dist: JointDistribution):
     return True, None
 
 
+def _lattice_scan(dist: JointDistribution):
+    # On little-endian binary indices, bitwise or and and are join and meet.
+    p = dist.probs
+    cells = np.flatnonzero(p)
+    if cells.size**2 > LATTICE_PAIR_CAP:
+        raise SizeCap(
+            f"affiliation check on a prior with zero cells needs {cells.size}**2 "
+            f"pair comparisons, cap {LATTICE_PAIR_CAP}"
+        )
+    rows = max(1, _LATTICE_BLOCK // cells.size)
+    for start in range(0, cells.size, rows):
+        # The inequality is symmetric, so columns before the block are skipped.
+        x, y = cells[start : start + rows, None], cells[None, start:]
+        bad = p[x | y] * p[x & y] < p[x] * p[y] * (1.0 - 1e-12)
+        if np.any(bad):
+            r, c = np.argwhere(bad)[0]
+            pair = (int(x[r, 0]), int(y[0, c]))
+            return False, tuple(tuple((k >> i) & 1 for i in range(dist.n)) for k in pair)
+    return True, None
+
+
 def is_pairwise_positively_correlated(dist: JointDistribution) -> bool:
-    """True when Cov(x_i, x_j) >= 0 for every pair i < j (up to 1e-12)."""
+    """True when Cov(x_i, x_j) >= 0 for every pair i < j (up to 1e-12).
+
+    Reads Pr(x_i = 1) from the marginals and Pr(x_i = x_j = 1) as the sum
+    of one face of the cell tensor.
+    """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("pairwise correlation check requires binary coordinates")
-    digits = dist.digits().astype(np.float64)
-    p = dist.probs
-    means = p @ digits
-    for i in range(dist.n):
-        for j in range(i + 1, dist.n):
-            cross = float(p @ (digits[:, i] * digits[:, j]))
+    n = dist.n
+    p = cell_tensor(dist.probs, n, 2)
+    means = [float(dist.marginal_of(i)[1]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross = float(np.moveaxis(p, (i, j), (0, 1))[1, 1].sum())
             if cross < means[i] * means[j] - 1e-12:
                 return False
     return True

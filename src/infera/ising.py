@@ -8,7 +8,7 @@ questions into magnetization questions.
 
 Two backends answer them:
 
-* exact enumeration over all spin configurations (small trees);
+* the closed form's biased branches on the dense prior (small trees);
 * the branch-ratio recursion x_{k+1} = y(x_k) with
   y(x) = e^{2h} ((e^J x + e^{-J}) / (e^J + e^{-J} x))^d,
   whose fixed point from x_0 = 1 describes the deep-tree limit.
@@ -31,8 +31,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .affiliated import nu_of_max_biased
 from .dist import DEFAULT_CAP, JointDistribution, digit_table, from_dense
 from .errors import DimensionMismatch, NoConvergence, SizeCap
+from .mechanism import PrivacyBudget
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_CAP = 10**6
@@ -100,10 +102,12 @@ def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> Jo
     n = model.n
     if 2**n > cap:
         raise SizeCap(f"tree with {n} nodes needs 2**{n} entries, cap {cap}")
-    sigma = 1.0 - 2.0 * digit_table(n, 2)
-    energy = model.h0 * sigma.sum(axis=1)
-    for i, j in model.edges():
-        energy += model.J * sigma[:, i] * sigma[:, j]
+    digits = digit_table(n, 2)
+    edges = model.edges()
+    # With sigma = 1 - 2x: sum_i sigma_i = n - 2|x| and
+    # sigma_i sigma_j = 1 - 2 (x_i xor x_j).
+    disagree = sum(digits[:, i] ^ digits[:, j] for i, j in edges)
+    energy = model.h0 * (n - 2.0 * digits.sum(axis=1)) + model.J * (len(edges) - 2.0 * disagree)
     return from_dense(n, 2, np.exp(energy - energy.max()), cap=cap)
 
 
@@ -140,25 +144,16 @@ def magnetization_exact(
 def nu_gibbs(model: IsingTreeModel, eps: float, site: int, cap: int = DEFAULT_CAP) -> float:
     """Inference parameter of one site under a uniform budget, exactly.
 
-    With rho the prior odds Pr(x_site = 1)/Pr(x_site = 0), the two biased
-    mechanisms give
-
-      nu = max( ln rho + ln((1 + m_+)/(1 - m_+)),
-               -ln rho - ln((1 + m_-)/(1 - m_-)) )
-
-    where m_+- is the site magnetization under field offset +-eps/2.
-    At h0 = 0 the odds are even and both branches coincide.
+    Ferromagnetic tree priors are affiliated, so nu is the larger of the
+    closed form's two biased branches on the dense tree prior.  The z = 0
+    branch equals ln((1 + m)/(1 - m)) + ln Pr(x_site = 1)/Pr(x_site = 0),
+    m the site magnetization under field offset +eps/2.
     """
     if eps <= 0.0:
         raise DimensionMismatch("eps must be positive")
     base = ising_tree_distribution(model, cap=cap)
-    marg = base.marginal_of(site)
-    log_rho = math.log(marg[1]) - math.log(marg[0])
-    m_plus = magnetization_exact(model, site, +0.5 * eps, cap=cap)
-    m_minus = magnetization_exact(model, site, -0.5 * eps, cap=cap)
-    up = log_rho + math.log1p(m_plus) - math.log1p(-m_plus)
-    down = -log_rho - math.log1p(m_minus) + math.log1p(-m_minus)
-    return max(up, down)
+    budget = PrivacyBudget.uniform(model.n, eps)
+    return max(nu_of_max_biased(base, budget, site, z) for z in (0, 1))
 
 
 def bethe_fixed_point(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, conditional_slice, digit_table, fix_coordinate
+from .dist import JointDistribution, cell_tensor, conditional_mean, digit_table
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 _RATIO_TOL = 1e-15
@@ -101,19 +101,24 @@ class OutcomeTable:
         self.table.setflags(write=False)
 
 
-def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:
-    """Profile m(x) = exp(-sum_i eps_i * |x_i - z|) for binary databases.
+def max_biased_values(n: int, budget: PrivacyBudget, z: int) -> np.ndarray:
+    """Flat m(x) = exp(-sum_i eps_i * |x_i - z|) for binary databases.
 
     The entry at the constant-z database is exactly 1; every step away
-    from it in coordinate i costs a factor exp(-eps_i).  This profile
-    saturates every differential privacy constraint toward z.
+    from it in coordinate i costs a factor exp(-eps_i).  Entries below
+    exp(-745) underflow to 0, which only the profile rejects.
     """
     if budget.n != n:
         raise DimensionMismatch("budget length must equal n")
     if z not in (0, 1):
         raise UnsupportedAlphabet("bias target must be a binary value")
-    dist_to_z = (digit_table(n, 2) != z) @ budget.eps
-    return EventProfile(n=n, alphabet_size=2, values=np.exp(-dist_to_z))
+    return np.exp(-((digit_table(n, 2) != z) @ budget.eps))
+
+
+def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:
+    """max_biased_values as a profile: it saturates every differential
+    privacy constraint toward z."""
+    return EventProfile(n=n, alphabet_size=2, values=max_biased_values(n, budget, z))
 
 
 def noisy_sum_tail_profile(n: int, eps: float, z: int) -> EventProfile:
@@ -192,11 +197,7 @@ def _profile_nu(dist: JointDistribution, values: np.ndarray, a: int) -> float:
     supported = [z for z in range(dist.alphabet_size) if marg[z] > 0.0]
     if len(supported) < 2:
         return 0.0
-    means = {}
-    for z in supported:
-        sl = conditional_slice(dist, a, z)
-        vz = fix_coordinate(values, dist.n, dist.alphabet_size, a, z)
-        means[z] = math.fsum((sl.dist.probs * vz).tolist())
+    means = {z: conditional_mean(dist, values, a, z) for z in supported}
     best = 0.0
     unbounded = False
     for z0 in supported:

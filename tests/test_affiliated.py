@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_budget, random_dp_profile, random_prior
+from conftest import bit_table, random_budget, random_dp_profile, random_prior
 from infera.affiliated import (
     nu_closed_form,
     nu_of_max_biased,
@@ -64,15 +66,21 @@ def test_matches_lp_on_tree():
 
 
 def test_rejects_non_affiliated():
-    d = parity_constrained(2, 2)
-    b = PrivacyBudget.uniform(5, 0.2)
-    with pytest.raises(NotAffiliated) as info:
-        nu_closed_form(d, b, 0)
-    # The attached witness must be a genuine violation.
-    x1, x2 = info.value.witness
-    x1, x2 = np.array(x1), np.array(x2)
-    join, meet = np.maximum(x1, x2), np.minimum(x1, x2)
-    assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
+    # The second prior is uniform on {100, 011, 111} (bits x0 x1 x2) times
+    # three fair coins: every two-coordinate pair passes, but the lattice
+    # condition fails.
+    w = np.zeros(8)
+    w[[0b001, 0b110, 0b111]] = 1.0
+    three_point = from_dense(6, 2, np.tile(w, 8))
+    for d, a in [(parity_constrained(2, 2), 0)] + [(three_point, a) for a in range(3)]:
+        b = PrivacyBudget.uniform(d.n, 0.2)
+        with pytest.raises(NotAffiliated) as info:
+            nu_closed_form(d, b, a)
+        # The attached witness must be a genuine violation.
+        x1, x2 = info.value.witness
+        x1, x2 = np.array(x1), np.array(x2)
+        join, meet = np.maximum(x1, x2), np.minimum(x1, x2)
+        assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
 
 
 def test_force_bypasses_check_with_warning():
@@ -165,3 +173,51 @@ def test_closed_form_rejects_out_of_range_target():
         for a in (3, 7, -1):
             with pytest.raises(DimensionMismatch):
                 nu_closed_form(d, PrivacyBudget.uniform(3, 0.3), a)
+
+
+@st.composite
+def _masked_priors(draw):
+    """Binary prior with n <= 4 and zero cells, plus a budget and target.
+
+    Weights are log-supermodular (nonnegative couplings) or free.  The
+    support is a random set of cells or the sublattice cut out by a few
+    constraints x_i >= x_j, on which a log-supermodular prior stays
+    affiliated.
+    """
+    n = draw(st.integers(2, 4))
+    bits = bit_table(n)
+    if draw(st.booleans()):
+        theta = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        coupling = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=n * n, max_size=n * n)))
+        log_w = bits @ theta + np.einsum("ki,ij,kj->k", bits, coupling.reshape(n, n), bits)
+        w = np.exp(log_w)
+    else:
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2**n, max_size=2**n)))
+    if draw(st.booleans()):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=2**n, max_size=2**n)))
+    else:
+        keep = np.ones(2**n, dtype=bool)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(pairs, min_size=1, max_size=3)):
+            keep &= bits[:, i] >= bits[:, j]
+    eps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    a = draw(st.integers(0, n - 1))
+    return n, w * keep, PrivacyBudget(np.array(eps)), a
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_masked_priors())
+def test_closed_form_matches_lp_whenever_check_passes(case):
+    n, w, budget, a = case
+    cells = np.arange(2**n)
+    assume(all(w[((cells >> a) & 1) == z].sum() > 0.0 for z in (0, 1)))
+    d = from_dense(n, 2, w)
+    ok, witness = is_positively_affiliated(d)
+    if not ok:
+        x1, x2 = witness
+        join = tuple(max(u, v) for u, v in zip(x1, x2))
+        meet = tuple(min(u, v) for u, v in zip(x1, x2))
+        assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
+        return
+    assert abs(nu_closed_form(d, budget, a).nu - nu_exact(d, budget, a).nu) <= 1e-6

@@ -1,10 +1,14 @@
 """End-to-end command line checks through main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infera.cli import main
 from infera.files import load_mechanism
@@ -45,6 +49,20 @@ def test_check_flags_parity_prior(write_json, capsys):
     assert len(x1) == 5 and len(x2) == 5
     # Pairwise positivity still holds on this prior.
     assert report["results"]["pairwise_positive"] is True
+
+
+def test_check_flags_three_point_prior(write_json, capsys):
+    # Uniform on {100, 011, 111} (bits x0 x1 x2) times three fair coins.
+    probs = np.zeros(8)
+    probs[[0b001, 0b110, 0b111]] = 1.0 / 24.0
+    path = write_json("three.json", {"n": 6, "alphabet": 2, "probs": np.tile(probs, 8).tolist()})
+    code, report = _run(capsys, ["check", "--dist", path, "--what", "affiliation"])
+    assert code == 1
+    assert report["results"]["affiliated"] is False
+    x1, x2 = report["results"]["witness"]
+    idx = [sum(b << k for k, b in enumerate(x)) for x in (x1, x2)]
+    p = np.tile(probs, 8) * 8.0
+    assert p[idx[0] | idx[1]] * p[idx[0] & idx[1]] < p[idx[0]] * p[idx[1]]
 
 
 def test_check_passes_product_prior(write_json, capsys):
@@ -286,3 +304,27 @@ def test_nu_rejects_non_finite_eps(write_json, capsys, prior, argv):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.fixture(scope="module")
+def tree3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "tree3.json"
+    path.write_text(json.dumps(TREE3))
+    return str(path)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(
+    target=st.integers(0, 2) | st.integers(),
+    eps=st.floats(0.0, 5.0) | st.floats(allow_nan=True, allow_infinity=True),
+    method=st.sampled_from(["exact", "closed-form", "gibbs", "all"]),
+)
+def test_nu_exit_code_contract(tree3_file, target, eps, method):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["nu", "--dist", tree3_file, f"--eps={eps!r}", f"--target={target}",
+                     "--method", method])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and "error:" in err.getvalue()

@@ -313,6 +313,29 @@ def _lattice_holds(p):
     return bool(np.all(join * meet >= np.outer(p, p) * (1.0 - 1e-12)))
 
 
+def _assert_breaks_lattice(d, witness):
+    x1, x2 = witness
+    join = tuple(max(u, v) for u, v in zip(x1, x2))
+    meet = tuple(min(u, v) for u, v in zip(x1, x2))
+    assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
+
+
+def _zero_masked(rng, n):
+    """An affiliated prior with zero cells: kept on a sublattice cut out by
+    constraints x_i >= x_j it stays affiliated; kept on a random set of
+    cells it usually does not."""
+    bits = bit_table(n)
+    if rng.random() < 0.5:
+        keep = rng.random(2**n) < rng.uniform(0.15, 0.6)
+        keep[rng.integers(2**n)] = True
+    else:
+        keep = np.ones(2**n, dtype=bool)
+        for _ in range(int(rng.integers(1, 3))):
+            i, j = rng.choice(n, size=2, replace=False)
+            keep &= bits[:, i] >= bits[:, j]
+    return from_dense(n, 2, random_affiliated(n, rng).probs * keep)
+
+
 def test_affiliation_verdict_matches_all_pairs_brute_force():
     rng = np.random.default_rng(17)
     verdicts = []
@@ -330,9 +353,46 @@ def test_affiliation_verdict_matches_all_pairs_brute_force():
         ok, witness = is_positively_affiliated(d)
         assert ok == _lattice_holds(d.probs)
         if not ok:
-            x1, x2 = witness
-            join = tuple(max(u, v) for u, v in zip(x1, x2))
-            meet = tuple(min(u, v) for u, v in zip(x1, x2))
-            assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
+            _assert_breaks_lattice(d, witness)
         verdicts.append(ok)
     assert 40 <= sum(verdicts) <= 200
+    # Priors with zero cells take the all-pairs path.
+    masked = []
+    for _ in range(160):
+        d = _zero_masked(rng, int(rng.integers(2, 7)))
+        ok, witness = is_positively_affiliated(d)
+        assert ok == _lattice_holds(d.probs)
+        if not ok:
+            _assert_breaks_lattice(d, witness)
+        masked.append(ok)
+    assert 30 <= sum(masked) <= 130
+
+
+def _three_point_prior():
+    """Uniform on {100, 011, 111} (bits x0 x1 x2) times three fair coins."""
+    w = np.zeros(8)
+    w[[0b001, 0b110, 0b111]] = 1.0
+    return from_dense(6, 2, np.tile(w, 8))
+
+
+def test_three_point_prior_is_not_affiliated():
+    # Every pair differing in two coordinates passes, yet
+    # p(111) p(000) = 0 < p(100) p(011).
+    d = _three_point_prior()
+    ok, witness = is_positively_affiliated(d)
+    assert not ok
+    _assert_breaks_lattice(d, witness)
+
+
+def test_lattice_check_refuses_large_supports(monkeypatch):
+    import infera.dist as dist_mod
+
+    d = _three_point_prior()
+    monkeypatch.setattr(dist_mod, "LATTICE_PAIR_CAP", 24**2 - 1)
+    with pytest.raises(SizeCap):
+        is_positively_affiliated(d)
+    monkeypatch.setattr(dist_mod, "_LATTICE_BLOCK", 5)
+    monkeypatch.setattr(dist_mod, "LATTICE_PAIR_CAP", 24**2)
+    ok, witness = is_positively_affiliated(d)
+    assert not ok
+    _assert_breaks_lattice(d, witness)
