@@ -26,7 +26,7 @@ from .dist import (
     from_dense,
     is_positively_affiliated,
 )
-from .errors import NotAffiliated, UnsupportedAlphabet
+from .errors import NotAffiliated, UndefinedRatio, UnsupportedAlphabet
 from .mechanism import PrivacyBudget, max_biased_values
 
 
@@ -41,9 +41,19 @@ class ClosedFormResult:
 
 def _branch(dist: JointDistribution, budget: PrivacyBudget, a: int, z: int):
     """Numerator and denominator of the z branch, before the log:
-    E[m_z | x_a = z] and E[m_z | x_a = 1 - z]."""
+    E[m_z | x_a = z] and E[m_z | x_a = 1 - z].
+
+    Both are positive in exact arithmetic; raises UndefinedRatio when the
+    budget is large enough that one underflows to 0.
+    """
     m = max_biased_values(dist.n, budget, z)
-    return conditional_mean(dist, m, a, z), conditional_mean(dist, m, a, 1 - z)
+    num, den = conditional_mean(dist, m, a, z), conditional_mean(dist, m, a, 1 - z)
+    if num == 0.0 or den == 0.0:
+        raise UndefinedRatio(
+            f"the {z}-biased branch at x_{a} has conditional means {num} / {den}; "
+            "one underflowed to 0, the budget is too large for the closed form"
+        )
+    return num, den
 
 
 def nu_closed_form(

@@ -7,6 +7,13 @@ sums never beats its largest term.  Contexts of zero probability are
 excluded; if the conditional support of x_i changes across an admissible
 adjacent pair, the entry is unbounded (math.inf).
 
+Each site i gets one table log Pr(x_i | context) over the cell tensor,
+read as nan in a context of zero mass and -inf for a value off the
+conditional support.  An entry is half the largest |difference| between
+two faces of that table along j's axis, nan skipped: nan marks an
+inadmissible context or a value off the support on both faces, and an
+infinite difference is exactly a support change.
+
 When the matrix G has spectral norm below one, the inference parameter
 of coordinate i under budget eps obeys nu_i <= 2 * ((I - G)^-1 eps)_i,
 and under the row-dominance condition G eps <= (1 - delta) eps also
@@ -63,34 +70,24 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
         raise DegenerateDistribution("empty distribution")
     gamma = np.zeros((n, n))
     shaped = cell_tensor(dist.probs, n, alph)
-    for i in range(n):
-        # Axis 0 holds x_i's value, the rest are the context coordinates.
-        table = np.moveaxis(shaped, i, 0)
-        mass = table.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(mass > 0.0, table / mass, np.nan)
-        rest = [k for k in range(n) if k != i]
-        for pos, j in enumerate(rest):
-            worst = 1.0
-            for u in range(alph):
-                cu = np.take(cond, u, axis=1 + pos)
-                mu = np.take(mass, u, axis=pos)
-                for v in range(u + 1, alph):
-                    cv = np.take(cond, v, axis=1 + pos)
-                    mv = np.take(mass, v, axis=pos)
-                    admissible = (mu > 0.0) & (mv > 0.0)
-                    if not np.any(admissible):
-                        continue
-                    pu = cu.reshape(alph, -1)[:, admissible.ravel()]
-                    pv = cv.reshape(alph, -1)[:, admissible.ravel()]
-                    if np.any((pu > 0.0) != (pv > 0.0)):
-                        worst = math.inf
-                        continue
-                    both = pu > 0.0
-                    if np.any(both):
-                        r = pu[both] / pv[both]
-                        worst = max(worst, float(r.max()), float((1.0 / r).max()))
-            gamma[i, j] = 0.5 * math.log(worst) if math.isfinite(worst) else math.inf
+    # The cell tensor's own layout, so face arithmetic runs over contiguous runs.
+    diff = np.empty((alph,) * (n - 1), order="F")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_p = np.log(shaped)
+        for i in range(n):
+            # Axis i of the log-conditional table holds x_i's value.
+            lc = log_p - np.log(shaped.sum(axis=i, keepdims=True))
+            for j in range(n):
+                if j == i:
+                    continue
+                worst = 0.0
+                for u in range(alph):
+                    for v in range(u + 1, alph):
+                        # Faces x_j = u and x_j = v, views along axis j.
+                        np.subtract(lc[(slice(None),) * j + (u,)],
+                                    lc[(slice(None),) * j + (v,)], out=diff)
+                        worst = np.fmax.reduce(np.abs(diff, out=diff), axis=None, initial=worst)
+                gamma[i, j] = 0.5 * worst
     return InfluenceMatrix(gamma=gamma)
 
 

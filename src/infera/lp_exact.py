@@ -82,7 +82,12 @@ def build_lp(
 
     rows = []
     for i in range(n):
-        gain = math.exp(budget.eps[i])
+        try:
+            gain = math.exp(budget.eps[i])
+        except OverflowError:
+            raise LPError(
+                f"eps_{i} = {budget.eps[i]} overflows the constraint coefficient e^eps_{i}"
+            ) from None
         for u in range(alph):
             base = fix_coordinate(cells, n, alph, i, u)
             for v in range(u + 1, alph):

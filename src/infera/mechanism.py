@@ -106,13 +106,15 @@ def max_biased_values(n: int, budget: PrivacyBudget, z: int) -> np.ndarray:
 
     The entry at the constant-z database is exactly 1; every step away
     from it in coordinate i costs a factor exp(-eps_i).  Entries below
-    exp(-745) underflow to 0, which only the profile rejects.
+    exp(-745) underflow to 0, as do those whose exponent overflows to
+    -inf; only the profile rejects them.
     """
     if budget.n != n:
         raise DimensionMismatch("budget length must equal n")
     if z not in (0, 1):
         raise UnsupportedAlphabet("bias target must be a binary value")
-    return np.exp(-((digit_table(n, 2) != z) @ budget.eps))
+    with np.errstate(over="ignore"):
+        return np.exp(-((digit_table(n, 2) != z) @ budget.eps))
 
 
 def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:

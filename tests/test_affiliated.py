@@ -20,7 +20,7 @@ from infera.dist import (
     perfectly_correlated,
     product,
 )
-from infera.errors import DimensionMismatch, NotAffiliated
+from infera.errors import DimensionMismatch, NotAffiliated, UndefinedRatio
 from infera.ising import IsingTreeModel, ising_tree_distribution
 from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget, max_biased_profile, mechanism_nu
@@ -173,6 +173,18 @@ def test_closed_form_rejects_out_of_range_target():
         for a in (3, 7, -1):
             with pytest.raises(DimensionMismatch):
                 nu_closed_form(d, PrivacyBudget.uniform(3, 0.3), a)
+
+
+def test_underflowing_branch_is_a_typed_error():
+    # At eps = 1000 every database off the biased value weighs e^-1000 = 0
+    # in floats, so the denominator mean vanishes and no finite nu is sound.
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    b = PrivacyBudget.uniform(3, 1000.0)
+    with pytest.raises(UndefinedRatio):
+        nu_closed_form(d, b, 0)
+    for z in (0, 1):
+        with pytest.raises(UndefinedRatio):
+            nu_of_max_biased(d, b, 0, z)
 
 
 @st.composite

@@ -306,6 +306,18 @@ def test_nu_rejects_non_finite_eps(write_json, capsys, prior, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("method,eps", [
+    ("exact", "800"), ("closed-form", "1000"), ("gibbs", "1000"), ("all", "800"),
+])
+def test_nu_huge_budget_is_a_typed_error(write_json, capsys, method, eps):
+    path = write_json("tree3.json", TREE3)
+    code = main(["nu", "--dist", path, "--eps", eps, "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
 @pytest.fixture(scope="module")
 def tree3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "tree3.json"
@@ -326,5 +338,6 @@ def test_nu_exit_code_contract(tree3_file, target, eps, method):
                      "--method", method])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert "error: unexpected" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and "error:" in err.getvalue()

@@ -5,11 +5,12 @@ probabilities with pure-python loops, independent of the vectorized
 implementation.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_budget, random_prior
 from infera.dist import from_dense, perfectly_correlated, product
@@ -29,50 +30,74 @@ from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget
 
 
-def _conditional(probs, n, i, ctx):
-    """Distribution of x_i given an assignment to every other coordinate."""
-    weights = [0.0, 0.0]
-    for idx in range(2**n):
-        bits = [(idx >> k) & 1 for k in range(n)]
-        if all(bits[k] == v for k, v in ctx.items()):
-            weights[bits[i]] += probs[idx]
-    total = weights[0] + weights[1]
-    if total == 0.0:
-        return None
-    return (weights[0] / total, weights[1] / total)
+def _conditionals(probs, n, alph, i):
+    """Distribution of x_i for every assignment to the other coordinates
+    (a tuple in coordinate order), None where that context has no mass."""
+    weights = {}
+    for idx, p in enumerate(probs):
+        digits = [(idx // alph**k) % alph for k in range(n)]
+        ctx = tuple(digits[:i] + digits[i + 1:])
+        weights.setdefault(ctx, [0.0] * alph)[digits[i]] += p
+    conds = {}
+    for ctx, w in weights.items():
+        total = sum(w)
+        conds[ctx] = [x / total for x in w] if total > 0.0 else None
+    return conds
 
 
 def brute_influence(dist):
-    n = dist.n
+    n, alph = dist.n, dist.alphabet_size
     probs = [float(p) for p in dist.probs]
     gamma = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        conds = _conditionals(probs, n, alph, i)
         others = [k for k in range(n) if k != i]
-        for j in others:
+        for pos, j in enumerate(others):
             worst = 1.0
             unbounded = False
-            for assign in itertools.product((0, 1), repeat=n - 1):
-                ctx = dict(zip(others, assign))
-                if ctx[j] == 1:
-                    continue
-                flipped = dict(ctx)
-                flipped[j] = 1
-                c0 = _conditional(probs, n, i, ctx)
-                c1 = _conditional(probs, n, i, flipped)
-                if c0 is None or c1 is None:
-                    continue
-                for v in (0, 1):
-                    lo, hi = min(c0[v], c1[v]), max(c0[v], c1[v])
-                    if hi == 0.0:
+            for ctx, c0 in conds.items():
+                # Each unordered pair of x_j values once: c0 holds the smaller.
+                for w in range(ctx[pos] + 1, alph):
+                    c1 = conds[ctx[:pos] + (w,) + ctx[pos + 1:]]
+                    if c0 is None or c1 is None:
                         continue
-                    if lo == 0.0:
-                        unbounded = True
-                        break
-                    worst = max(worst, hi / lo)
-                if unbounded:
-                    break
+                    for v in range(alph):
+                        lo, hi = min(c0[v], c1[v]), max(c0[v], c1[v])
+                        if hi == 0.0:
+                            continue
+                        if lo == 0.0:
+                            unbounded = True
+                            break
+                        worst = max(worst, hi / lo)
             gamma[i][j] = math.inf if unbounded else 0.5 * math.log(worst)
     return np.array(gamma)
+
+
+@st.composite
+def _zero_masked_priors(draw):
+    """Prior with n <= 5 over alphabet 2 or 3, with zero cells that empty
+    whole contexts of one coordinate or change its conditional support."""
+    alph = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5 if alph == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (alph,) * n
+    w = rng.uniform(0.05, 1.0, size=shape)
+    digit = np.indices(shape)
+    for mask in draw(st.lists(st.sampled_from(["cells", "contexts", "support"]), max_size=3)):
+        i, j = rng.integers(n, size=2)
+        if mask == "cells":
+            w[rng.uniform(size=shape) < 0.3] = 0.0
+        elif mask == "contexts":
+            # One draw per context of x_i, so a hit empties the whole context.
+            hit = rng.uniform(size=shape[:i] + (1,) + shape[i + 1:]) < 0.3
+            w[np.broadcast_to(hit, shape)] = 0.0
+        else:
+            # x_i = u is off the support exactly where x_j = v.
+            u, v = rng.integers(alph, size=2)
+            w[(digit[i] == u) & (digit[j] == v)] = 0.0
+    flat = w.reshape(-1, order="F")
+    assume(flat.sum() > 0.0)
+    return from_dense(n, alph, flat)
 
 
 # --- matrix entries -----------------------------------------------------
@@ -132,6 +157,16 @@ def test_vacuous_contexts_read_as_zero():
     # A constant coordinate admits no adjacent context pair at all.
     m = influence_matrix(perfectly_correlated(2, 1.0))
     assert np.array_equal(m.gamma, np.zeros((2, 2)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_zero_masked_priors())
+def test_matches_oracle_with_zero_cells_and_larger_alphabets(d):
+    got = influence_matrix(d).gamma
+    want = brute_influence(d)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
 
 
 # --- spectral norm ------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from infera.dist import is_positively_affiliated
-from infera.errors import DimensionMismatch, NoConvergence, SizeCap
+from infera.errors import DimensionMismatch, NoConvergence, SizeCap, UndefinedRatio
 from infera.ising import (
     IsingTreeModel,
     bethe_fixed_point,
@@ -155,6 +155,12 @@ def test_nu_gibbs_rejects_bad_budget():
     m = IsingTreeModel(d=2, depth=1, J=0.3)
     with pytest.raises(DimensionMismatch):
         nu_gibbs(m, 0.0, 0)
+
+
+def test_nu_gibbs_underflow_is_a_typed_error():
+    m = IsingTreeModel(d=2, depth=1, J=0.3)
+    with pytest.raises(UndefinedRatio):
+        nu_gibbs(m, 1000.0, 0)
 
 
 # --- branch recursion ----------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
-from infera.errors import DegenerateDistribution, DimensionMismatch, SizeCap
+from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
+from infera.ising import IsingTreeModel, ising_tree_distribution
 from infera.lp_exact import build_lp, nu_exact
 from infera.mechanism import PrivacyBudget, dp_audit, max_biased_profile
 from infera.simplex import (
@@ -255,3 +256,10 @@ def test_build_lp_rejects_budget_of_wrong_length():
     d = product([[0.5, 0.5]] * 3)
     with pytest.raises(DimensionMismatch):
         build_lp(d, PrivacyBudget.uniform(2, 0.1), 0, (0, 1))
+
+
+def test_budget_past_exp_range_is_a_typed_error():
+    # e^800 overflows a float; the LP cannot hold the ratio constraint.
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    with pytest.raises(LPError, match="overflows"):
+        nu_exact(d, PrivacyBudget.uniform(3, 800.0), 0)
