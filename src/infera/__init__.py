@@ -23,7 +23,7 @@ from .mechanism import (
     parity_mechanism_m1_profile,
     sample_noisy_sum,
 )
-from .lp_exact import NuCertificate, build_lp, nu_exact
+from .lp_exact import NuCertificate, nu_exact
 from .affiliated import ClosedFormResult, nu_closed_form, nu_of_max_biased, random_affiliated
 from .influence import (
     DobrushinBound,

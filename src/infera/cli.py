@@ -170,6 +170,7 @@ def cmd_nu(args) -> int:
     if args.method == "exact":
         cert = nu_exact(dist, budget, args.target, cap=args.lp_cap)
         results["nu"] = cert.nu
+        results["nu_upper"] = cert.nu_upper
         results["direction"] = list(cert.direction)
         results["lp_objective"] = cert.lp_objective
         results["per_direction"] = {

@@ -33,11 +33,8 @@ import numpy as np
 
 from .affiliated import nu_of_max_biased
 from .dist import DEFAULT_CAP, JointDistribution, digit_table, from_dense
-from .errors import DimensionMismatch, NoConvergence, SizeCap
+from .errors import DimensionMismatch, NoConvergence, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
-
-FIXED_POINT_TOL = 1e-13
-FIXED_POINT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,10 @@ class IsingTreeModel:
 
 @dataclass(frozen=True)
 class BetheSolution:
+    """Fixed point x(J, h) and the bisection steps that located it."""
+
     x: float
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -156,26 +154,39 @@ def nu_gibbs(model: IsingTreeModel, eps: float, site: int, cap: int = DEFAULT_CA
     return max(nu_of_max_biased(base, budget, site, z) for z in (0, 1))
 
 
-def bethe_fixed_point(
-    J: float,
-    h: float,
-    d: int,
-    tol: float = FIXED_POINT_TOL,
-    cap: int = FIXED_POINT_CAP,
-) -> BetheSolution:
-    """Iterate the branch recursion from x = 1 until it settles.
+def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:
+    """Fixed point x(J, h) of the branch recursion: the limit of its
+    iterates from x = 1, which is 1 at h = 0, in (1, inf) for h > 0 and
+    in (0, 1) for h < 0.
 
-    The iteration is monotone, so it converges to the fixed point x(J, h):
-    1 at h = 0, in (1, inf) for h > 0, in (0, 1) for h < 0.  Hitting the
-    cap raises NoConvergence rather than returning a bad value.
+    In w = ln x the step is w <- 2h + d phi(w) with
+    phi(w) = 2 atanh(tanh J tanh(w/2)), which is concave for w >= 0 and
+    below 2J.  For h > 0, g(w) = 2h + d phi(w) - w therefore has
+    g(0) = 2h > 0, g(2h + 2dJ) < 0 and exactly one positive root, the
+    limit of the iteration from 0.  Bisection on that bracket runs until
+    the midpoint stops moving, however slowly the iteration itself would
+    settle near the critical coupling; h < 0 follows by symmetry.
+    Raises UndefinedRatio when x overflows or underflows a float, which
+    happens once |h| exceeds about 355.
     """
-    x = 1.0
-    for k in range(1, cap + 1):
-        nxt = _branch_step(J, h, d, x)
-        if abs(nxt - x) <= tol * max(1.0, abs(x)):
-            return BetheSolution(x=nxt, iterations=k, converged=True)
-        x = nxt
-    raise NoConvergence(f"branch recursion at J={J}, h={h}, d={d} hit {cap} iterations")
+    if h == 0.0:
+        return BetheSolution(x=1.0, iterations=0)
+    t, field = math.tanh(J), abs(h)
+    lo, hi = 0.0, 2.0 * field + 2.0 * d * J
+    steps = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        steps += 1
+        if 2.0 * field + 2.0 * d * math.atanh(t * math.tanh(0.5 * mid)) > mid:
+            lo = mid
+        else:
+            hi = mid
+    try:
+        x = math.exp(mid if h > 0.0 else -mid)
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise UndefinedRatio(f"branch ratio x(J={J}, h={h}) lies outside the float range")
+    return BetheSolution(x=x, iterations=steps)
 
 
 def tree_root_ratios(J: float, h: float, d: int, depth: int) -> TreeRootRatios:

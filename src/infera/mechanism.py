@@ -20,8 +20,6 @@ import numpy as np
 from .dist import JointDistribution, cell_tensor, conditional_mean, digit_table
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
-_RATIO_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -207,9 +205,11 @@ def _profile_nu(dist: JointDistribution, values: np.ndarray, a: int) -> float:
             if z0 == z1:
                 continue
             num, den = means[z1], means[z0]
-            if den <= _RATIO_TOL * max(num, 1.0):
-                if num > 0.0:
-                    unbounded = True
+            if den == 0.0:
+                # Profile entries are positive, so only an outcome-table
+                # row that vanishes on the z0 face, or a mean that
+                # underflows, gets here.
+                unbounded = unbounded or num > 0.0
                 continue
             if num <= 0.0:
                 continue

@@ -88,6 +88,7 @@ def test_nu_exact_twins(write_json, capsys):
     res = report["results"]
     assert abs(res["nu"] - 1.0) <= 1e-9
     assert res["direction"] == [0, 1]
+    assert res["nu"] <= res["nu_upper"] <= res["nu"] + 1e-9
     assert set(res["per_direction"]) == {"0->1", "1->0"}
     assert report["command"].startswith("nu ")
 
@@ -204,6 +205,13 @@ def test_ising_enforce(capsys):
     assert report["results"]["enforceable_eps"] is None
     assert any("floor" in w for w in report["warnings"])
 
+    # Just below the critical coupling atanh(1/2) = 0.5493061...
+    code, report = _run(
+        capsys, ["ising", "enforce", "--nu", "0.4", "--J", "0.5493", "--d", "2"]
+    )
+    assert code == 0
+    assert 0.0 < report["results"]["enforceable_eps"] < 0.4
+
 
 def test_ising_sensitivity(capsys):
     code, report = _run(
@@ -306,8 +314,27 @@ def test_nu_rejects_non_finite_eps(write_json, capsys, prior, argv):
     assert "error:" in captured.err
 
 
+def test_nu_exact_lp_cap_counts_cells(write_json, capsys):
+    # Nine ternary coordinates: 3**8 LP variables, past the default cap.
+    path = write_json("ternary.json", {"generator": "product",
+                                       "params": {"marginals": [[0.2, 0.3, 0.5]] * 9}})
+    code = main(["nu", "--dist", path, "--eps", "0.1", "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
+@pytest.mark.parametrize("eps", ["2000", "1e308"])
+def test_nu_limit_huge_budget_is_a_typed_error(capsys, eps):
+    code = main(["ising", "nu-limit", "--J", "0.3", "--eps", eps, "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
 @pytest.mark.parametrize("method,eps", [
     ("exact", "800"), ("closed-form", "1000"), ("gibbs", "1000"), ("all", "800"),
+    ("exact", "700"),
 ])
 def test_nu_huge_budget_is_a_typed_error(write_json, capsys, method, eps):
     path = write_json("tree3.json", TREE3)

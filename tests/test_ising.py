@@ -167,7 +167,7 @@ def test_nu_gibbs_underflow_is_a_typed_error():
 
 def test_fixed_point_basic_laws():
     sol = bethe_fixed_point(0.4, 0.0, 2)
-    assert sol.x == 1.0 and sol.converged
+    assert sol.x == 1.0
     assert abs(bethe_fixed_point(0.0, 0.3, 2).x - math.exp(0.6)) <= 1e-12
     assert bethe_fixed_point(0.3, 0.2, 2).x > 1.0
     assert bethe_fixed_point(0.3, -0.2, 2).x < 1.0
@@ -185,9 +185,32 @@ def test_fixed_point_reciprocal_symmetry():
         assert abs(up * down - 1.0) <= 1e-12
 
 
-def test_fixed_point_iteration_cap():
-    with pytest.raises(NoConvergence):
-        bethe_fixed_point(0.5, 0.3, 2, cap=2)
+@pytest.mark.parametrize(
+    "J",
+    [0.5493, math.atanh(0.5) - 1e-9, math.atanh(0.5) + 1e-9],
+    ids=["0.5493", "Jc-1e-9", "Jc+1e-9"],
+)
+def test_fixed_point_near_critical_coupling(J):
+    # The iteration from x = 1 crawls here (473,111 steps at J = 0.5493,
+    # h = 1e-7); the fixed point must still solve x = y(x) and grow with h.
+    prev = 0.0
+    for k in range(-12, 2):
+        h = 10.0**k
+        sol = bethe_fixed_point(J, h, 2)
+        w = math.log(sol.x)
+        step = 2.0 * h + 2.0 * math.log(
+            (math.exp(J) * sol.x + math.exp(-J)) / (math.exp(J) + math.exp(-J) * sol.x)
+        )
+        assert abs(step - w) <= 1e-12 * max(1.0, w)
+        assert prev < w < 2.0 * h + 4.0 * J
+        assert sol.iterations <= 200
+        prev = w
+
+
+@pytest.mark.parametrize("h", [400.0, -400.0, 1e308])
+def test_fixed_point_outside_float_range_is_a_typed_error(h):
+    with pytest.raises(UndefinedRatio):
+        bethe_fixed_point(0.3, h, 2)
 
 
 def test_finite_iterates_climb_to_fixed_point():

@@ -1,4 +1,4 @@
-"""Simplex core and the exact leakage LP, checked against independent oracles."""
+"""The certified exact leakage LP, checked against independent oracles."""
 
 import math
 
@@ -10,127 +10,16 @@ from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
 from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from infera.ising import IsingTreeModel, ising_tree_distribution
-from infera.lp_exact import build_lp, nu_exact
-from infera.mechanism import PrivacyBudget, dp_audit, max_biased_profile
-from infera.simplex import (
-    STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    simplex_solve,
-)
+from infera.lp_exact import GAP_TOL, nu_exact
+from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from lp_oracle import nu_grid_search, nu_vertex_enumeration
 
-
-# --- simplex unit tests -------------------------------------------------
-
-def test_simplex_single_variable():
-    res = simplex_solve(
-        c=np.array([1.0]),
-        a_ub=np.zeros((0, 1)),
-        b_ub=np.zeros(0),
-        e_eq=np.array([1.0]),
-        f_eq=1.0,
-    )
-    assert res.status == STATUS_OPTIMAL
-    assert abs(res.optimum - 1.0) <= 1e-12
-    assert np.allclose(res.solution, [1.0], atol=1e-12)
-
-
-def test_simplex_box():
-    # max x + 2y subject to x <= 3, y <= 2, x + y <= 4
-    # (vacuous 0 = 0 equality keeps the solver's fixed problem shape).
-    res = simplex_solve(
-        c=np.array([1.0, 2.0]),
-        a_ub=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-        b_ub=np.array([3.0, 2.0, 4.0]),
-        e_eq=np.zeros(2),
-        f_eq=0.0,
-    )
-    assert res.status == STATUS_OPTIMAL
-    assert abs(res.optimum - 6.0) <= 1e-9
-    assert np.allclose(res.solution, [2.0, 2.0], atol=1e-9)
-
-
-def test_simplex_unbounded():
-    res = simplex_solve(
-        c=np.array([1.0, 0.0]),
-        a_ub=np.zeros((0, 2)),
-        b_ub=np.zeros(0),
-        e_eq=np.array([0.0, 1.0]),
-        f_eq=1.0,
-    )
-    assert res.status == STATUS_UNBOUNDED
-
-
-def test_simplex_infeasible():
-    res = simplex_solve(
-        c=np.array([1.0]),
-        a_ub=np.array([[1.0]]),
-        b_ub=np.array([1.0]),
-        e_eq=np.array([1.0]),
-        f_eq=2.0,
-    )
-    assert res.status == STATUS_INFEASIBLE
-
-
-def test_simplex_iteration_limit():
-    res = simplex_solve(
-        c=np.array([1.0, 2.0]),
-        a_ub=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-        b_ub=np.array([3.0, 2.0, 4.0]),
-        e_eq=np.zeros(2),
-        f_eq=0.0,
-        max_iter=1,
-    )
-    assert res.status == STATUS_ITERATION_LIMIT
-
-
-def test_simplex_rejects_negative_rhs():
-    with pytest.raises(ValueError):
-        simplex_solve(
-            c=np.array([1.0]),
-            a_ub=np.array([[1.0]]),
-            b_ub=np.array([-1.0]),
-            e_eq=np.zeros(1),
-            f_eq=0.0,
-        )
-
-
-def test_simplex_matches_leakage_values():
-    # The leakage LP for independent fair coins peaks at exp(eps_a).
-    d = product([[0.5, 0.5], [0.5, 0.5]])
-    b = PrivacyBudget(np.array([0.3, 0.8]))
-    lp = build_lp(d, b, 0, direction=(0, 1))
-    res = simplex_solve(lp.c, lp.a_ub, lp.b_ub, lp.e_eq, lp.f_eq)
-    assert res.status == STATUS_OPTIMAL
-    assert abs(res.optimum - math.exp(0.3)) <= 1e-9
-    d2 = perfectly_correlated(2, 0.5)
-    lp2 = build_lp(d2, PrivacyBudget.uniform(2, 0.5), 0, direction=(0, 1))
-    res2 = simplex_solve(lp2.c, lp2.a_ub, lp2.b_ub, lp2.e_eq, lp2.f_eq)
-    assert abs(res2.optimum - math.exp(1.0)) <= 1e-9
-
-
-# --- LP construction ----------------------------------------------------
-
-def test_build_lp_shapes():
-    d = random_prior(np.random.default_rng(0), 2, floor=1e-3)
-    lp = build_lp(d, PrivacyBudget.uniform(2, 0.5), 0, direction=(0, 1))
-    assert lp.c.shape == (4,)
-    # One ordered pair of columns per coordinate: 2 * n * 2**(n-1) rows.
-    assert lp.a_ub.shape == (8, 4)
-    assert lp.e_eq.shape == (4,)
-    assert lp.f_eq == 1.0
-
-
-def test_build_lp_objective_and_equality_rows():
-    d = perfectly_correlated(2, 0.3)
-    lp = build_lp(d, PrivacyBudget.uniform(2, 0.5), 0, direction=(0, 1))
-    # Objective weights are the conditional prior given x_a = 1;
-    # the equality row is the conditional given x_a = 0.
-    assert np.allclose(lp.c, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
-    assert np.allclose(lp.e_eq, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    assert lp.f_eq == 1.0
+# A product prior whose LP is highly degenerate: the benchmark's
+# pivot-limit input, digit for digit.
+PIVOT_LIMIT_P = (0.08564502027976867, 0.45753767875076684, 0.6179656209440294,
+                 0.5456722561414263, 0.11674498803566628, 0.583905553867081)
+PIVOT_LIMIT_EPS = (0.26108704096590113, 0.2357717203700056, 0.8847563405102709,
+                   0.23795000235270214, 0.4815762144061481, 0.7627725381272431)
 
 
 # --- exact nu -----------------------------------------------------------
@@ -171,8 +60,6 @@ def test_witness_is_dp_and_replays():
         audited = dp_audit(cert.witness)
         assert np.all(audited.eps <= b.eps + 1e-7)
         # Replaying the witness through the generic evaluator recovers nu.
-        from infera.mechanism import mechanism_nu
-
         assert abs(mechanism_nu(d, cert.witness, 0) - cert.nu) <= 1e-9
 
 
@@ -180,10 +67,10 @@ def test_witness_scale_invariance():
     d = random_prior(np.random.default_rng(32), 3, floor=1e-3)
     b = PrivacyBudget.uniform(3, 0.6)
     cert = nu_exact(d, b, 0)
-    lp = build_lp(d, b, 0, direction=cert.direction)
     for scale in (0.25, 0.9):
-        scaled = cert.witness.values * scale
-        assert np.all(lp.a_ub @ scaled <= lp.b_ub + 1e-9)
+        scaled = EventProfile(n=3, alphabet_size=2, values=cert.witness.values * scale)
+        assert np.all(dp_audit(scaled).eps <= b.eps + 1e-9)
+        assert abs(mechanism_nu(d, scaled, 0) - cert.nu) <= 1e-12
 
 
 def test_certificate_bookkeeping():
@@ -191,6 +78,7 @@ def test_certificate_bookkeeping():
     cert = nu_exact(d, PrivacyBudget.uniform(2, 0.5), 0)
     assert len(cert.per_direction) == 2
     assert abs(math.log(cert.lp_objective) - cert.nu) <= 1e-12
+    assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
     # Symmetric prior: both directions tie and the first in value order wins.
     assert cert.direction == (0, 1)
     assert cert.witness.values.max() == 1.0
@@ -225,7 +113,10 @@ def test_nu_exact_against_vertex_oracle():
         b = random_budget(rng, n)
         a = int(rng.integers(n))
         ref = nu_vertex_enumeration(d, b.eps, a)
-        assert abs(nu_exact(d, b, a).nu - ref) <= 1e-9
+        cert = nu_exact(d, b, a)
+        assert abs(cert.nu - ref) <= 1e-9
+        assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
+        assert cert.nu - 1e-9 <= ref <= cert.nu_upper + 1e-9
 
 
 def test_nu_exact_against_grid_oracle():
@@ -255,7 +146,7 @@ def test_nu_exact_guards():
 def test_build_lp_rejects_budget_of_wrong_length():
     d = product([[0.5, 0.5]] * 3)
     with pytest.raises(DimensionMismatch):
-        build_lp(d, PrivacyBudget.uniform(2, 0.1), 0, (0, 1))
+        nu_exact(d, PrivacyBudget.uniform(2, 0.1), 0)
 
 
 def test_budget_past_exp_range_is_a_typed_error():
@@ -263,3 +154,50 @@ def test_budget_past_exp_range_is_a_typed_error():
     d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
     with pytest.raises(LPError, match="overflows"):
         nu_exact(d, PrivacyBudget.uniform(3, 800.0), 0)
+
+def test_budget_past_the_certifiable_range_names_both_bounds():
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    with pytest.raises(LPError, match=r"nu in \[[0-9.e+]+, [0-9.e+]+\]"):
+        nu_exact(d, PrivacyBudget.uniform(3, 700.0), 0)
+
+
+@pytest.mark.parametrize("eps", [5.0, 8.0, 10.0, 20.0, 50.0, 100.0])
+def test_tree_matches_closed_form_at_large_budgets(eps):
+    # The optimal profile spans a factor e^(2 eps); the LP stays bounded.
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    b = PrivacyBudget.uniform(3, eps)
+    cert = nu_exact(d, b, 0)
+    assert abs(cert.nu - nu_closed_form(d, b, 0).nu) <= 1e-9
+    assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
+
+
+def test_pivot_limit_product_gives_own_budget():
+    d = product([[1.0 - v, v] for v in PIVOT_LIMIT_P])
+    cert = nu_exact(d, PrivacyBudget(np.array(PIVOT_LIMIT_EPS)), 5)
+    assert abs(cert.nu - PIVOT_LIMIT_EPS[5]) <= 1e-9
+
+
+def test_alphabet_three_product_gives_own_budget():
+    d = product([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
+    b = PrivacyBudget(np.array([0.3, 0.5, 0.7]))
+    for a in range(3):
+        cert = nu_exact(d, b, a)
+        assert abs(cert.nu - b.eps[a]) <= 1e-9
+        assert len(cert.per_direction) == 6
+
+
+def test_single_coordinate_gives_own_budget():
+    cert = nu_exact(from_dense(1, 2, [0.3, 0.7]), PrivacyBudget(np.array([0.4])), 0)
+    assert abs(cert.nu - 0.4) <= 1e-12
+
+
+def test_lp_cap_counts_cells(monkeypatch):
+    # 3**8 LP variables exceed the default cap's 2**11: the LP is refused
+    # before anything is built for it.
+    def never(*args):
+        raise AssertionError("LP solved past the cap")
+
+    monkeypatch.setattr("infera.lp_exact._certify", never)
+    d = product([[0.2, 0.3, 0.5]] * 9)
+    with pytest.raises(SizeCap):
+        nu_exact(d, PrivacyBudget.uniform(9, 0.1), 0)

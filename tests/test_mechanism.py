@@ -7,7 +7,9 @@ import pytest
 
 from conftest import bit_table, random_budget, random_dp_profile, random_prior
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
+from infera.affiliated import nu_closed_form
 from infera.errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
+from infera.ising import IsingTreeModel, ising_tree_distribution
 from infera.lp_exact import nu_exact
 from infera.mechanism import (
     EventProfile,
@@ -261,6 +263,17 @@ def test_table_nu_unbounded_on_vanishing_denominator():
     row0 = np.where(bits[:, 0] == 1, 0.5, 0.0)
     table = OutcomeTable(n=2, alphabet_size=2, table=np.stack([row0, 1.0 - row0]))
     assert math.isinf(mechanism_nu(d, table, 0))
+
+
+@pytest.mark.parametrize("eps", [10.0, 50.0, 100.0])
+def test_biased_replay_keeps_large_finite_ratios(eps):
+    # At eps 50 the two conditional means differ by a factor of about
+    # e^51: a large ratio, not an unbounded one.
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    b = PrivacyBudget.uniform(3, eps)
+    cf = nu_closed_form(d, b, 0)
+    replay = mechanism_nu(d, max_biased_profile(3, b, cf.winning_z), 0)
+    assert abs(replay - cf.nu) <= 1e-9 * cf.nu
 
 
 def test_mechanism_shape_mismatch():
