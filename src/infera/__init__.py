@@ -35,6 +35,7 @@ from .influence import (
 )
 from .ising import (
     BetheSolution,
+    IsingPrior,
     IsingTreeModel,
     bethe_fixed_point,
     critical_coupling,
@@ -43,6 +44,7 @@ from .ising import (
     magnetization_exact,
     nu_bethe_limit,
     nu_gibbs,
+    nu_tree,
     sensitivity_profile,
     tree_root_ratios,
 )

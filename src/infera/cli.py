@@ -159,8 +159,7 @@ def cmd_check(args) -> int:
 
 def cmd_nu(args) -> int:
     t0 = time.time()
-    cap = _cap(args)
-    dist, model = load_distribution(args.dist, cap=cap)
+    dist, model = load_distribution(args.dist, cap=_cap(args))
     budget = _parse_eps(args.eps, dist.n)
     report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
@@ -205,7 +204,7 @@ def cmd_nu(args) -> int:
         uniform = budget.eps
         if np.any(uniform != uniform[0]):
             raise ParseError("--method gibbs needs a uniform budget")
-        results["nu"] = nu_gibbs(model, float(uniform[0]), args.target, cap=cap)
+        results["nu"] = nu_gibbs(model, float(uniform[0]), args.target)
     else:  # all
         values = {}
         cert = nu_exact(dist, budget, args.target, cap=args.lp_cap)
@@ -215,7 +214,7 @@ def cmd_nu(args) -> int:
         except NotAffiliated as exc:
             report["warnings"].append(f"closed form skipped: {exc}")
         if model is not None and not np.any(budget.eps != budget.eps[0]):
-            values["gibbs"] = nu_gibbs(model, float(budget.eps[0]), args.target, cap=cap)
+            values["gibbs"] = nu_gibbs(model, float(budget.eps[0]), args.target)
         results.update(values)
         results["nu"] = cert.nu
         spread = max(values.values()) - min(values.values())

@@ -1,20 +1,28 @@
-"""Ferromagnetic Ising models on complete d-ary trees.
+"""Ferromagnetic Ising priors on forests, and deep-tree leakage laws.
 
-Spins are sigma_i = (-1)^{x_i}, so x = 0 is spin +1.  The prior is
-pi(x) proportional to exp(J * sum_edges sigma_i sigma_j + h0 * sum_i sigma_i).
-A maximally biased mechanism acts on such a prior exactly like an extra
-uniform external field of magnitude eps/2, which turns inference
-questions into magnetization questions.
+Spins are sigma_i = (-1)^{x_i}, so x = 0 is spin +1.  An IsingPrior is
 
-Two backends answer them:
+  pi(x) proportional to exp(sum_edges J_ij sigma_i sigma_j + sum_i h_i sigma_i)
 
-* the closed form's biased branches on the dense prior (small trees);
-* the branch-ratio recursion x_{k+1} = y(x_k) with
+with every J_ij >= 0, which makes it affiliated.  A maximally z-biased
+mechanism then acts on the prior exactly like an extra field of
++eps_i/2 (z = 0) or -eps_i/2 (z = 1) at every site, so the leakage of
+site a is
+
+  nu_a = 2 max(|H+_a - H_a|, |H_a - H-_a|),
+
+where H_a = atanh <sigma_a> is the site's effective field under the
+fields h and H+_a, H-_a are the same under h +- eps/2.  On a forest
+sum-product gives the effective fields of every site in one upward and
+one downward pass (`nu_tree`); `IsingPrior.dense` enumerates the 2^n
+cells for oracles and dense inputs.
+
+The deep-tree limit follows the branch-ratio recursion
+x_{k+1} = y(x_k) with
   y(x) = e^{2h} ((e^J x + e^{-J}) / (e^J + e^{-J} x))^d,
-  whose fixed point from x_0 = 1 describes the deep-tree limit.
-
-For an infinite tree of branching d (degree Delta = d + 1) under a
-uniform budget eps, the inference parameter of any site is
+whose fixed point from x_0 = 1 describes an infinite complete d-ary tree.
+For branching d (degree Delta = d + 1) under a uniform budget eps, the
+inference parameter of any site is
 
   nu(eps) = (Delta/(Delta - 1)) * ln x(J, eps/2) - eps/(Delta - 1).
 
@@ -31,10 +39,80 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .affiliated import nu_of_max_biased
-from .dist import DEFAULT_CAP, JointDistribution, digit_table, from_dense
-from .errors import DimensionMismatch, NoConvergence, SizeCap, UndefinedRatio
+from .dist import DEFAULT_CAP, JointDistribution, check_coordinate, digit_table, from_dense
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotAffiliated,
+    SizeCap,
+    UndefinedRatio,
+)
 from .mechanism import PrivacyBudget
+
+
+@dataclass(frozen=True, eq=False)
+class IsingPrior:
+    """Ising prior on n sites with edges (i[k], j[k]) of coupling J[k] >= 0
+    and a field h[k] at each site k."""
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    J: np.ndarray
+    h: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        i, j = (np.asarray(v, dtype=np.int64) for v in (self.i, self.j))
+        J, h = (np.asarray(v, dtype=np.float64) for v in (self.J, self.h))
+        if n < 1:
+            raise DimensionMismatch(f"need at least one site, got n={n}")
+        if i.ndim != 1 or i.shape != j.shape or i.shape != J.shape:
+            raise DimensionMismatch(
+                f"edge arrays must be flat and of one length, got {i.shape}, {j.shape}, {J.shape}"
+            )
+        if np.any(i != self.i) or np.any(j != self.j):
+            raise DimensionMismatch("edge endpoints must be integers")
+        if h.shape != (n,):
+            raise DimensionMismatch(f"expected {n} fields, got shape {h.shape}")
+        if np.any((i < 0) | (i >= n) | (j < 0) | (j >= n)):
+            raise DimensionMismatch(f"edge endpoint out of range for n={n}")
+        if np.any(i == j):
+            raise DimensionMismatch(f"self-loop at site {int(i[i == j][0])}")
+        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(h))):
+            raise DimensionMismatch("couplings and fields must be finite")
+        if np.any(J < 0.0):
+            k = int(np.argmin(J))
+            raise NotAffiliated(
+                f"coupling {J[k]} < 0 on edge ({i[k]}, {j[k]}): the prior is not affiliated"
+            )
+        for name, value in (("i", i), ("j", j), ("J", J), ("h", h)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def dense(self, cap: int = DEFAULT_CAP) -> JointDistribution:
+        """The prior over all 2^n cells.
+
+        Energies are summed in units of 2^k, large enough that no partial
+        sum overflows however large the fields; scaling by a power of two
+        is exact, so ordinary priors get the same weights either way.
+        """
+        n = self.n
+        if 2**n > cap:
+            raise SizeCap(f"Ising prior with {n} sites needs 2**{n} entries, cap {cap}")
+        terms = np.concatenate([self.h, self.J])
+        k = max(0, int(np.frexp(terms)[1].max()) + terms.size.bit_length())
+        h, J = np.ldexp(self.h, -k), np.ldexp(self.J, -k)
+        # Field terms, one coordinate at a time: in little-endian order the
+        # cells with x_a = 0 (spin +1) precede those with x_a = 1.
+        energy = np.zeros(1)
+        for a in range(n):
+            energy = np.concatenate([energy + h[a], energy - h[a]])
+        digits = digit_table(n, 2)
+        for a, b, c in zip(self.i, self.j, J):
+            energy += np.where(digits[:, a] == digits[:, b], c, -c)
+        with np.errstate(over="ignore"):
+            return from_dense(n, 2, np.exp(np.ldexp(energy - energy.max(), k)), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -59,9 +137,19 @@ class IsingTreeModel:
         return (self.d ** (self.depth + 1) - 1) // (self.d - 1)
 
     def edges(self) -> List[Tuple[int, int]]:
-        """Parent-child pairs; child of node k are k*d + 1 .. k*d + d."""
-        return [(k, k * self.d + c) for k in range(self.n) for c in range(1, self.d + 1)
-                if k * self.d + c < self.n]
+        """Parent-child pairs; node k > 0 hangs below (k - 1) // d."""
+        return [((k - 1) // self.d, k) for k in range(1, self.n)]
+
+    def prior(self) -> IsingPrior:
+        """The model as an IsingPrior with the edges of `edges`."""
+        child = np.arange(1, self.n)
+        return IsingPrior(
+            n=self.n,
+            i=(child - 1) // self.d,
+            j=child,
+            J=np.full(child.size, float(self.J)),
+            h=np.full(self.n, float(self.h0)),
+        )
 
 
 @dataclass(frozen=True)
@@ -97,16 +185,7 @@ def _branch_step(J: float, h: float, d: int, x: float) -> float:
 
 def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> JointDistribution:
     """Dense prior over the tree's 2^n spin assignments."""
-    n = model.n
-    if 2**n > cap:
-        raise SizeCap(f"tree with {n} nodes needs 2**{n} entries, cap {cap}")
-    digits = digit_table(n, 2)
-    edges = model.edges()
-    # With sigma = 1 - 2x: sum_i sigma_i = n - 2|x| and
-    # sigma_i sigma_j = 1 - 2 (x_i xor x_j).
-    disagree = sum(digits[:, i] ^ digits[:, j] for i, j in edges)
-    energy = model.h0 * (n - 2.0 * digits.sum(axis=1)) + model.J * (len(edges) - 2.0 * disagree)
-    return from_dense(n, 2, np.exp(energy - energy.max()), cap=cap)
+    return model.prior().dense(cap)
 
 
 def magnetization_exact(
@@ -139,19 +218,88 @@ def magnetization_exact(
     return float(marg[0] - marg[1])
 
 
-def nu_gibbs(model: IsingTreeModel, eps: float, site: int, cap: int = DEFAULT_CAP) -> float:
-    """Inference parameter of one site under a uniform budget, exactly.
+def _log2cosh(y: np.ndarray) -> np.ndarray:
+    """ln(2 cosh y) = |y| + ln(1 + e^{-2|y|}), which cannot overflow."""
+    a = np.abs(y)
+    return a + np.log1p(np.exp(-2.0 * a))
 
-    Ferromagnetic tree priors are affiliated, so nu is the larger of the
-    closed form's two biased branches on the dense tree prior.  The z = 0
-    branch equals ln((1 + m)/(1 - m)) + ln Pr(x_site = 1)/Pr(x_site = 0),
-    m the site magnetization under field offset +eps/2.
+
+def _cavity_message(x: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """atanh(tanh J tanh x): the field that a site of cavity field x
+    sends across an edge of coupling J.  As a difference of ln cosh
+    terms it does not saturate at large |x| as tanh x does."""
+    return 0.5 * (_log2cosh(x + J) - _log2cosh(x - J))
+
+
+def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
+    """Inference parameter of every site of a forest prior, exactly.
+
+    Returns nu_a = 2 max(|H+_a - H_a|, |H_a - H-_a|) for every site a,
+    from sum-product on the three field settings h, h + eps/2 and
+    h - eps/2 at once.  The upward pass peels leaves round by round: a
+    site whose other neighbours are all gone sends its cavity message to
+    the one left, which becomes its parent (of two leaves joined by one
+    edge, the larger index hangs below the smaller).  A round with no
+    leaf left means a cycle.  The downward pass revisits the rounds in
+    reverse and completes each site's effective field from its
+    parent's.  O(n) work in as many numpy rounds as the forest is high.
+
+    Raises DimensionMismatch when the edges hold a cycle or the budget
+    has the wrong length, and UndefinedRatio when a field overflows.
     """
+    n = prior.n
+    if budget.n != n:
+        raise DimensionMismatch(f"budget has {budget.n} entries for {n} sites")
+    half = 0.5 * budget.eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Cavity fields, one row per field setting; the downward pass
+        # completes them into effective fields in place.
+        field = np.stack([prior.h, prior.h + half, prior.h - half])
+        ends = np.concatenate([prior.i, prior.j])
+        deg = np.bincount(ends, minlength=n)
+        # Sums of the indices of each site's remaining neighbours and
+        # edges: once one neighbour is left, they name it.
+        nbr = np.bincount(ends, weights=np.concatenate([prior.j, prior.i]), minlength=n)
+        edge = np.bincount(ends, weights=np.tile(np.arange(prior.i.size), 2), minlength=n)
+        nbr, edge = nbr.astype(np.int64), edge.astype(np.int64)
+        alive = np.ones(n, dtype=bool)
+        rounds = []
+        left = n
+        while left:
+            leaves = np.flatnonzero(alive & (deg <= 1))
+            if leaves.size == 0:
+                raise DimensionMismatch(
+                    f"edges are not a forest: {left} sites lie on or between cycles"
+                )
+            alive[leaves] = False
+            left -= leaves.size
+            child = leaves[deg[leaves] == 1]
+            parent = nbr[child]
+            hangs = alive[parent] | (parent < child)
+            child, parent = child[hangs], parent[hangs]
+            e = edge[child]
+            np.subtract.at(deg, parent, 1)
+            np.subtract.at(nbr, parent, child)
+            np.subtract.at(edge, parent, e)
+            J = prior.J[e]
+            msg = _cavity_message(field[:, child], J)
+            np.add.at(field, (slice(None), parent), msg)
+            rounds.append((child, parent, J, msg))
+        for child, parent, J, msg in reversed(rounds):
+            field[:, child] += _cavity_message(field[:, parent] - msg, J)
+        nu = 2.0 * np.maximum(np.abs(field[1] - field[0]), np.abs(field[0] - field[2]))
+    if not np.all(np.isfinite(nu)):
+        a = int(np.flatnonzero(~np.isfinite(nu))[0])
+        raise UndefinedRatio(f"effective field at site {a} overflows a float")
+    return nu
+
+
+def nu_gibbs(model: IsingTreeModel, eps: float, site: int) -> float:
+    """Inference parameter of one site of the tree under a uniform budget."""
     if eps <= 0.0:
         raise DimensionMismatch("eps must be positive")
-    base = ising_tree_distribution(model, cap=cap)
-    budget = PrivacyBudget.uniform(model.n, eps)
-    return max(nu_of_max_biased(base, budget, site, z) for z in (0, 1))
+    check_coordinate(model.n, site)
+    return float(nu_tree(model.prior(), PrivacyBudget.uniform(model.n, eps))[site])
 
 
 def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:

@@ -332,17 +332,45 @@ def test_nu_limit_huge_budget_is_a_typed_error(capsys, eps):
     assert "error:" in captured.err and "error: unexpected" not in captured.err
 
 
-@pytest.mark.parametrize("method,eps", [
-    ("exact", "800"), ("closed-form", "1000"), ("gibbs", "1000"), ("all", "800"),
-    ("exact", "700"),
-])
-def test_nu_huge_budget_is_a_typed_error(write_json, capsys, method, eps):
-    path = write_json("tree3.json", TREE3)
+@pytest.mark.parametrize("prior,method,eps", [
+    (TREE3, "exact", "800"), (TREE3, "closed-form", "1000"), (TREE3, "all", "800"),
+    (TREE3, "exact", "700"),
+    # h0 + eps/2 overflows a float in the tree's effective fields.
+    ({"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1.5e308}},
+     "gibbs", "1e308"),
+], ids=["exact-800", "closed-form-1000", "all-800", "exact-700", "gibbs-overflow"])
+def test_nu_huge_budget_is_a_typed_error(write_json, capsys, prior, method, eps):
+    path = write_json("tree3.json", prior)
     code = main(["nu", "--dist", path, "--eps", eps, "--method", method])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
+def _tree3_nu(eps, a):
+    """nu at site a of TREE3 by log-sum-exp over its eight cells."""
+    x = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    s = 1.0 - 2.0 * x
+    energy = 0.3 * (s[:, 0] * s[:, 1] + s[:, 0] * s[:, 2])
+    best = 0.0
+    for z in (0, 1):
+        log_m = -eps * (x != z).sum(axis=1)
+        lse = [np.logaddexp.reduce(energy[x[:, a] == v] + log_m[x[:, a] == v])
+               - np.logaddexp.reduce(energy[x[:, a] == v]) for v in (z, 1 - z)]
+        best = max(best, abs(lse[0] - lse[1]))
+    return best
+
+
+@pytest.mark.parametrize("eps", ["100", "1000"])
+@pytest.mark.parametrize("target", ["0", "1"])
+def test_nu_gibbs_huge_budget_is_a_value(write_json, capsys, eps, target):
+    path = write_json("tree3.json", TREE3)
+    code, report = _run(capsys, ["nu", "--dist", path, "--eps", eps, "--target", target,
+                                 "--method", "gibbs"])
+    want = _tree3_nu(float(eps), int(target))
+    assert code == 0
+    assert abs(report["results"]["nu"] - want) <= 1e-11 * want
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bit_table
 from infera.dist import is_positively_affiliated
-from infera.errors import DimensionMismatch, NoConvergence, SizeCap, UndefinedRatio
+from infera.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotAffiliated,
+    SizeCap,
+    UndefinedRatio,
+)
 from infera.ising import (
+    IsingPrior,
     IsingTreeModel,
     bethe_fixed_point,
     critical_coupling,
@@ -17,9 +27,11 @@ from infera.ising import (
     magnetization_exact,
     nu_bethe_limit,
     nu_gibbs,
+    nu_tree,
     sensitivity_profile,
     tree_root_ratios,
 )
+from infera.mechanism import PrivacyBudget
 
 
 def _enumerate_ratio(n, edges, J, h):
@@ -34,6 +46,41 @@ def _enumerate_ratio(n, edges, J, h):
         else:
             down += w
     return up / down
+
+
+def _logsumexp(v):
+    top = v.max()
+    return top + math.log(math.fsum(np.exp(v - top).tolist()))
+
+
+def _log_energy(n, edges, J, h):
+    """Log Gibbs weight of every cell, unnormalised."""
+    s = 1.0 - 2.0 * bit_table(n)
+    pairs = sum(c * s[:, a] * s[:, b] for (a, b), c in zip(edges, J))
+    return s @ np.asarray(h, dtype=float) + pairs
+
+
+def _enumerate_nu(n, edges, J, h, eps):
+    """nu at every site by summing over all 2^n cells in the log domain:
+    the larger of |ln E[m_z | x_a = z] - ln E[m_z | x_a = 1 - z]| over
+    the maximally z-biased profiles m_z(x) = exp(-sum_i eps_i [x_i != z])."""
+    x = bit_table(n)
+    energy = _log_energy(n, edges, J, h)
+    out = np.zeros(n)
+    for z in (0, 1):
+        log_m = -((x != z) @ np.asarray(eps, dtype=float))
+        for a in range(n):
+            def log_mean(v):
+                sel = x[:, a] == v
+                return _logsumexp(energy[sel] + log_m[sel]) - _logsumexp(energy[sel])
+
+            out[a] = max(out[a], abs(log_mean(z) - log_mean(1 - z)))
+    return out
+
+
+def _prior(n, edges, J, h):
+    i, j = (np.array([e[k] for e in edges], dtype=int) for k in (0, 1))
+    return IsingPrior(n=n, i=i, j=j, J=np.asarray(J, dtype=float), h=np.asarray(h, dtype=float))
 
 
 # --- model and distribution ---------------------------------------------
@@ -88,6 +135,26 @@ def test_matches_edge_copy_process():
             w *= p if bits[i] == bits[j] else 1.0 - p
         want[idx] = w
     assert np.allclose(d.probs, want, rtol=1e-12, atol=0)
+
+
+def test_huge_fields_give_a_point_mass():
+    # 3 h0 overflows a float; the energies are summed in scaled units.
+    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3, h0=1.5e308))
+    assert d.probs[0] == 1.0 and np.all(d.probs[1:] == 0.0)
+
+
+def test_dense_forest_prior_matches_its_energy():
+    edges, J, h = [(3, 0), (0, 4), (1, 2)], [0.4, 0.0, 1.1], [0.2, -0.5, 0.0, 0.3, -0.1]
+    energy = _log_energy(5, edges, J, h)
+    want = np.exp(energy - energy.max())
+    assert np.allclose(_prior(5, edges, J, h).dense().probs, want / want.sum(), rtol=1e-13, atol=0)
+
+
+def test_model_prior_arrays():
+    p = IsingTreeModel(d=3, depth=1, J=0.3, h0=-0.2).prior()
+    assert p.n == 4
+    assert list(zip(p.i.tolist(), p.j.tolist())) == IsingTreeModel(d=3, depth=1, J=0.3).edges()
+    assert np.all(p.J == 0.3) and np.all(p.h == -0.2)
 
 
 def test_tree_prior_is_affiliated():
@@ -157,10 +224,110 @@ def test_nu_gibbs_rejects_bad_budget():
         nu_gibbs(m, 0.0, 0)
 
 
-def test_nu_gibbs_underflow_is_a_typed_error():
+@pytest.mark.parametrize("eps", [5.0, 100.0, 1000.0])
+def test_nu_gibbs_huge_budget_matches_enumeration(eps):
+    # The dense closed form underflows at eps = 1000; the log domain does not.
     m = IsingTreeModel(d=2, depth=1, J=0.3)
+    want = _enumerate_nu(m.n, m.edges(), [m.J] * 2, [0.0] * m.n, [eps] * m.n)
+    for site in range(m.n):
+        assert abs(nu_gibbs(m, eps, site) - want[site]) <= 1e-12 * want[site]
+    assert abs(nu_gibbs(m, 1000.0, 0) - 1001.2) <= 1e-12 * 1001.2
+
+
+def test_nu_gibbs_rejects_bad_site():
+    m = IsingTreeModel(d=2, depth=1, J=0.3)
+    for site in (3, -1):
+        with pytest.raises(DimensionMismatch):
+            nu_gibbs(m, 0.3, site)
+
+
+# --- message passing on forests ------------------------------------------
+
+@st.composite
+def _forests(draw):
+    """Random labelled forest: node k joins an earlier node or starts a
+    new tree, then labels are shuffled and edges drawn either way round."""
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for k in range(1, n):
+        p = draw(st.integers(-1, k - 1))
+        if p >= 0:
+            a, b = label[k], label[p]
+            edges.append((a, b) if draw(st.booleans()) else (b, a))
+
+    def floats(lo, hi, size):
+        return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+
+    return n, edges, floats(0.0, 1.5, len(edges)), floats(-1.0, 1.0, n), floats(0.0, 2.0, n)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_forests())
+def test_nu_tree_matches_enumeration(forest):
+    n, edges, J, h, eps = forest
+    got = nu_tree(_prior(n, edges, J, h), PrivacyBudget(np.array(eps)))
+    want = _enumerate_nu(n, edges, J, h, eps)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 0)],
+    [(0, 1), (1, 0)],
+    [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (5, 0)],
+], ids=["triangle", "double-edge", "cycle-with-tails"])
+def test_nu_tree_refuses_a_cycle(edges):
+    prior = _prior(6, edges, [0.3] * len(edges), [0.0] * 6)
+    with pytest.raises(DimensionMismatch):
+        nu_tree(prior, PrivacyBudget.uniform(6, 0.2))
+
+
+@pytest.mark.parametrize("n,i,j,J,h", [
+    (3, [0], [0], [0.3], [0.0] * 3),
+    (3, [0], [3], [0.3], [0.0] * 3),
+    (3, [0], [1.5], [0.3], [0.0] * 3),
+    (3, [-1], [1], [0.3], [0.0] * 3),
+    (3, [0, 1], [1], [0.3], [0.0] * 3),
+    (3, [0], [1], [0.3, 0.2], [0.0] * 3),
+    (3, [0], [1], [0.3], [0.0] * 2),
+    (3, [0], [1], [math.inf], [0.0] * 3),
+    (0, [], [], [], []),
+], ids=["self-loop", "index-high", "fractional-index", "index-negative", "short-j",
+        "long-J", "short-h", "infinite-J", "no-sites"])
+def test_ising_prior_refuses_bad_arrays(n, i, j, J, h):
+    with pytest.raises(DimensionMismatch):
+        IsingPrior(n=n, i=np.array(i), j=np.array(j),
+                   J=np.array(J, dtype=float), h=np.array(h, dtype=float))
+
+
+def test_negative_coupling_is_not_affiliated():
+    with pytest.raises(NotAffiliated):
+        _prior(3, [(0, 1), (1, 2)], [0.3, -0.1], [0.0] * 3)
+
+
+def test_nu_tree_refuses_a_budget_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        nu_tree(_prior(3, [(0, 1)], [0.3], [0.0] * 3), PrivacyBudget.uniform(2, 0.2))
+
+
+def test_nu_tree_overflowing_field_is_a_typed_error():
+    prior = _prior(2, [(0, 1)], [0.3], [1.5e308, 0.0])
     with pytest.raises(UndefinedRatio):
-        nu_gibbs(m, 1000.0, 0)
+        nu_tree(prior, PrivacyBudget.uniform(2, 1e308))
+
+
+def test_deep_tree_sites_approach_the_bethe_limit():
+    # d = 2, J = 0.3 is below atanh(1/2); the first site halfway down a
+    # complete tree sees ever more of the infinite tree as it deepens.
+    J, eps = 0.3, 0.5
+    limit = nu_bethe_limit(J, eps, 2)
+    gaps = []
+    for depth in (10, 12, 14):
+        m = IsingTreeModel(d=2, depth=depth, J=J)
+        nu = nu_tree(m.prior(), PrivacyBudget.uniform(m.n, eps))
+        gaps.append(limit - nu[2 ** (depth // 2) - 1])
+    assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 0.01
 
 
 # --- branch recursion ----------------------------------------------------
