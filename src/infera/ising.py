@@ -91,28 +91,21 @@ class IsingPrior:
             object.__setattr__(self, name, value)
 
     def dense(self, cap: int = DEFAULT_CAP) -> JointDistribution:
-        """The prior over all 2^n cells.
-
-        Energies are summed in units of 2^k, large enough that no partial
-        sum overflows however large the fields; scaling by a power of two
-        is exact, so ordinary priors get the same weights either way.
-        """
+        """The prior over all 2^n cells."""
         n = self.n
         if 2**n > cap:
             raise SizeCap(f"Ising prior with {n} sites needs 2**{n} entries, cap {cap}")
-        terms = np.concatenate([self.h, self.J])
-        k = max(0, int(np.frexp(terms)[1].max()) + terms.size.bit_length())
-        h, J = np.ldexp(self.h, -k), np.ldexp(self.J, -k)
         # Field terms, one coordinate at a time: in little-endian order the
         # cells with x_a = 0 (spin +1) precede those with x_a = 1.
         energy = np.zeros(1)
         for a in range(n):
-            energy = np.concatenate([energy + h[a], energy - h[a]])
+            energy = np.concatenate([energy + self.h[a], energy - self.h[a]])
         digits = digit_table(n, 2)
-        for a, b, c in zip(self.i, self.j, J):
+        for a, b, c in zip(self.i, self.j, self.J):
             energy += np.where(digits[:, a] == digits[:, b], c, -c)
+        # A gap past the float range gives weight 0.
         with np.errstate(over="ignore"):
-            return from_dense(n, 2, np.exp(np.ldexp(energy - energy.max(), k)), cap=cap)
+            return from_dense(n, 2, np.exp(energy - energy.max()), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -137,11 +130,12 @@ class IsingTreeModel:
         return (self.d ** (self.depth + 1) - 1) // (self.d - 1)
 
     def edges(self) -> List[Tuple[int, int]]:
-        """Parent-child pairs; node k > 0 hangs below (k - 1) // d."""
-        return [((k - 1) // self.d, k) for k in range(1, self.n)]
+        """Parent-child pairs of `prior`."""
+        p = self.prior()
+        return list(zip(p.i.tolist(), p.j.tolist()))
 
     def prior(self) -> IsingPrior:
-        """The model as an IsingPrior with the edges of `edges`."""
+        """The model as an IsingPrior; node k > 0 hangs below (k - 1) // d."""
         child = np.arange(1, self.n)
         return IsingPrior(
             n=self.n,

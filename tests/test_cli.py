@@ -335,8 +335,8 @@ def test_nu_limit_huge_budget_is_a_typed_error(capsys, eps):
 @pytest.mark.parametrize("prior,method,eps", [
     (TREE3, "exact", "800"), (TREE3, "closed-form", "1000"), (TREE3, "all", "800"),
     (TREE3, "exact", "700"),
-    # h0 + eps/2 overflows a float in the tree's effective fields.
-    ({"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1.5e308}},
+    # h0 + eps/2 overflows a float in the single site's effective field.
+    ({"generator": "ising_tree", "params": {"d": 2, "depth": 0, "J": 0.3, "h0": 1.5e308}},
      "gibbs", "1e308"),
 ], ids=["exact-800", "closed-form-1000", "all-800", "exact-700", "gibbs-overflow"])
 def test_nu_huge_budget_is_a_typed_error(write_json, capsys, prior, method, eps):
