@@ -41,12 +41,10 @@ from .ising import (
     critical_coupling,
     enforceable_epsilon,
     ising_tree_distribution,
-    magnetization_exact,
     nu_bethe_limit,
     nu_gibbs,
     nu_tree,
     sensitivity_profile,
-    tree_root_ratios,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -112,11 +112,20 @@ def _base_report(args, inputs: dict) -> dict:
     }
 
 
-def _parse_eps(text: str, n: int) -> PrivacyBudget:
+def _parse_floats(text: str, flag: str) -> List[float]:
+    """The comma-separated numbers given to `flag`; ParseError when one is
+    not a number or there are none."""
     try:
-        parts = [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise ParseError(f"bad --eps value: {text}") from exc
+        raise ParseError(f"bad {flag} value: {text}") from exc
+    if not values:
+        raise ParseError(f"{flag} needs at least one number")
+    return values
+
+
+def _parse_eps(text: str, n: int) -> PrivacyBudget:
+    parts = _parse_floats(text, "--eps")
     if len(parts) == 1:
         return PrivacyBudget.uniform(n, parts[0])
     if len(parts) != n:
@@ -277,12 +286,12 @@ def cmd_ising(args) -> int:
             )
             code = EXIT_FINDING
     elif args.ising_cmd == "sensitivity":
-        eps_list = [float(p) for p in args.eps_list.split(",") if p.strip()]
+        eps_list = _parse_floats(args.eps_list, "--eps-list")
         rows = sensitivity_profile(args.J, args.h0, args.d, eps_list)
         results["profile"] = [{"eps": e, "nu": v} for e, v in rows]
     else:  # sweep
-        eps_grid = [float(p) for p in args.eps_grid.split(",") if p.strip()]
-        j_grid = [float(p) for p in args.J_grid.split(",") if p.strip()]
+        eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
+        j_grid = _parse_floats(args.J_grid, "--J-grid")
         lines = ["eps,J,h0,d,nu,backend"]
         for J in j_grid:
             for eps in eps_grid:

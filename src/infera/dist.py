@@ -120,9 +120,10 @@ def from_dense(
 ) -> JointDistribution:
     """Build a distribution from nonnegative weights, normalizing them.
 
-    Rejects weights below -1e-12 (NegativeProbability); smaller negative
-    float noise is clamped to zero.  Raises ZeroMass when nothing remains
-    to normalize and SizeCap when alphabet_size**n exceeds the cap.
+    Rejects weights below -1e-12 and weights that are not finite numbers
+    (NegativeProbability); smaller negative float noise is clamped to
+    zero.  Raises ZeroMass when nothing remains to normalize and SizeCap
+    when alphabet_size**n exceeds the cap.
     """
     if n < 1 or alphabet_size < 2:
         raise DimensionMismatch(f"need n >= 1 and alphabet >= 2, got {n}, {alphabet_size}")
@@ -132,6 +133,9 @@ def from_dense(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (size,):
         raise DimensionMismatch(f"expected {size} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        bad = int(np.flatnonzero(~np.isfinite(w))[0])
+        raise NegativeProbability(f"weight {w[bad]} at index {bad} is not a finite number")
     if np.any(w < -_NEG_TOL):
         worst = int(np.argmin(w))
         raise NegativeProbability(f"weight {w[worst]} at index {worst}")

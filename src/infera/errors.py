@@ -10,7 +10,8 @@ class DimensionMismatch(InferaError):
 
 
 class NegativeProbability(InferaError):
-    """A probability entry is negative beyond tolerance."""
+    """A probability entry or budget is negative beyond tolerance, or not
+    a finite number."""
 
 
 class ZeroMass(InferaError):

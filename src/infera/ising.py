@@ -17,16 +17,26 @@ sum-product gives the effective fields of every site in one upward and
 one downward pass (`nu_tree`); `IsingPrior.dense` enumerates the 2^n
 cells for oracles and dense inputs.
 
-The deep-tree limit follows the branch-ratio recursion
-x_{k+1} = y(x_k) with
-  y(x) = e^{2h} ((e^J x + e^{-J}) / (e^J + e^{-J} x))^d,
-whose fixed point from x_0 = 1 describes an infinite complete d-ary tree.
-For branching d (degree Delta = d + 1) under a uniform budget eps, the
-inference parameter of any site is
+Both halves of the module pass one message.  Cut the edge above a site:
+the site's log-odds w = ln Pr(sigma = +1)/Pr(sigma = -1) in the branch
+left below is its cavity log-ratio, and across an edge of coupling J
+that branch adds
 
-  nu(eps) = (Delta/(Delta - 1)) * ln x(J, eps/2) - eps/(Delta - 1).
+  phi(w) = ln cosh(w/2 + J) - ln cosh(w/2 - J) = 2 atanh(tanh J tanh(w/2))
 
-The recursion's fixed point is continuous in h at 0 exactly when
+to the log-odds of the site on the other side; `nu_tree` passes phi/2,
+in units of fields.  phi is odd, increasing, concave for
+w >= 0 and below 2J.  On the infinite tree of branching d, where every
+site has d + 1 neighbours, a uniform field h gives every branch the
+cavity log-ratio w with w = 2h + d phi(w), and every site the log-odds
+w + phi(w).  Under a uniform budget eps the leakage of any site is
+therefore
+
+  nu(eps) = w + phi(w),  where  w = eps + d phi(w).
+
+nu rises strictly with w, so a target leakage fixes w, and the budget
+that meets it is eps = w - d phi(w).  d = 0 is the dimer and d = 1 the
+infinite path.  The fixed point is continuous in h at 0 exactly when
 tanh(J) <= 1/d; stronger couplings leave a positive inference floor no
 budget can cross.
 """
@@ -35,18 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist import DEFAULT_CAP, JointDistribution, check_coordinate, digit_table, from_dense
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotAffiliated,
-    SizeCap,
-    UndefinedRatio,
-)
+from .errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
 
 
@@ -154,62 +158,9 @@ class BetheSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class TreeRootRatios:
-    """Finite-tree branch iterates and root ratios.
-
-    iterates[k] is the recursion value after k steps from 1, so
-    iterates[1] = e^{2h} is the single-node tree and root_ratio (the last
-    iterate) equals Z+/Z- = (1 + <sigma_root>)/(1 - <sigma_root>) of the
-    complete d-ary tree of the requested depth.  x_star rescales the root
-    ratio to a degree-(d+1) root.
-    """
-
-    depth: int
-    x: float
-    root_ratio: float
-    x_star: float
-    iterates: Tuple[float, ...]
-
-
-def _branch_step(J: float, h: float, d: int, x: float) -> float:
-    ej, emj = math.exp(J), math.exp(-J)
-    return math.exp(2.0 * h) * ((ej * x + emj) / (ej + emj * x)) ** d
-
-
 def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> JointDistribution:
     """Dense prior over the tree's 2^n spin assignments."""
     return model.prior().dense(cap)
-
-
-def magnetization_exact(
-    target: Union[IsingTreeModel, JointDistribution],
-    site: int,
-    field_offset: float = 0.0,
-    cap: int = DEFAULT_CAP,
-) -> float:
-    """<sigma_site> by full enumeration, under an extra uniform field.
-
-    A model input rebuilds the Gibbs weights at field h0 + field_offset;
-    a raw distribution is reweighted by exp(field_offset * sum sigma).
-    """
-    if isinstance(target, IsingTreeModel):
-        model = IsingTreeModel(
-            d=target.d, depth=target.depth, J=target.J, h0=target.h0 + field_offset
-        )
-        dist = ising_tree_distribution(model, cap=cap)
-    else:
-        dist = target
-        if field_offset != 0.0:
-            tilt = field_offset * (dist.n - 2.0 * dist.digits().sum(axis=1))
-            dist = from_dense(
-                dist.n,
-                dist.alphabet_size,
-                dist.probs * np.exp(tilt - tilt.max()),
-                cap=cap,
-            )
-    marg = dist.marginal_of(site)
-    return float(marg[0] - marg[1])
 
 
 def _log2cosh(y: np.ndarray) -> np.ndarray:
@@ -296,34 +247,85 @@ def nu_gibbs(model: IsingTreeModel, eps: float, site: int) -> float:
     return float(nu_tree(model.prior(), PrivacyBudget.uniform(model.n, eps))[site])
 
 
-def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:
-    """Fixed point x(J, h) of the branch recursion: the limit of its
-    iterates from x = 1, which is 1 at h = 0, in (1, inf) for h > 0 and
-    in (0, 1) for h < 0.
+def _w_minus_phi(w: float, J: float, k: float) -> float:
+    """w - k phi(w) for w, J >= 0, where phi(w) = ln cosh(w/2 + J) -
+    ln cosh(w/2 - J) is 2 _cavity_message(w/2, J): the log-odds that a
+    branch of cavity log-ratio w adds across an edge of coupling J.
 
-    In w = ln x the step is w <- 2h + d phi(w) with
-    phi(w) = 2 atanh(tanh J tanh(w/2)), which is concave for w >= 0 and
-    below 2J.  For h > 0, g(w) = 2h + d phi(w) - w therefore has
-    g(0) = 2h > 0, g(2h + 2dJ) < 0 and exactly one positive root, the
-    limit of the iteration from 0.  Bisection on that bracket runs until
-    the midpoint stops moving, however slowly the iteration itself would
-    settle near the critical coupling; h < 0 follows by symmetry.
-    Raises UndefinedRatio when x overflows or underflows a float, which
-    happens once |h| exceeds about 355.
+    The difference of the two ln(2 cosh) terms is 2m exactly, with
+    m = min(w/2, J), and the rest is
+    r = log1p(expm1(-4m) / (1 + e^{2|w/2 - J|})).  Taking (w - 2km) - kr
+    keeps full precision where w and k phi(w) cancel, as on a strongly
+    coupled path, and as w goes to 0; nor does phi saturate at large J as
+    atanh(tanh J tanh(w/2)) does.  Plain floats, because the bisection
+    below calls it some sixty times per solve.
     """
-    if h == 0.0:
-        return BetheSolution(x=1.0, iterations=0)
-    t, field = math.tanh(J), abs(h)
-    lo, hi = 0.0, 2.0 * field + 2.0 * d * J
-    steps = 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    x = 0.5 * w
+    m = x if x < J else J
+    q = math.exp(-2.0 * abs(x - J))
+    return (w - 2.0 * k * m) - k * math.log1p(math.expm1(-4.0 * m) * q / (1.0 + q))
+
+
+def _largest_w(J: float, k: float, level: float, hi: float) -> Tuple[float, int]:
+    """Largest float w in [0, hi] with w - k phi(w) <= level, for a level
+    that 0 meets and that w - k phi(w), once above it, stays above.  Tries
+    hi, then halves the bracket until the midpoint stops moving.  Returns w
+    and the number of midpoints tried."""
+    if _w_minus_phi(hi, J, k) <= level:
+        return hi, 0
+    lo, steps = 0.0, 0
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         steps += 1
-        if 2.0 * field + 2.0 * d * math.atanh(t * math.tanh(0.5 * mid)) > mid:
+        if _w_minus_phi(mid, J, k) <= level:
             lo = mid
         else:
             hi = mid
+    return lo, steps
+
+
+def _check_tree(J: float, d: int) -> None:
+    if not math.isfinite(J):
+        raise DimensionMismatch(f"coupling must be finite, got {J}")
+    if J < 0.0:
+        raise NotAffiliated(f"coupling {J} < 0: the prior is not affiliated")
+    if d < 0:
+        raise DimensionMismatch(f"branching factor must be nonnegative, got {d}")
+
+
+def _cavity_log_ratio(J: float, field: float, d: int) -> Tuple[float, int]:
+    """Cavity log-ratio w = field + d phi(w) of the infinite tree of
+    branching d under the log-odds field `field` (2h) at every site, and
+    the bisection steps that located it.
+
+    w is the limit of the iteration w <- field + d phi(w) from 0.  For
+    field > 0, g(w) = field + d phi(w) - w has g(0) > 0,
+    g(field + 2dJ) <= 0 and, phi being concave, one positive root;
+    bisection finds it however slowly the iteration would settle near the
+    critical coupling.  A negative field gives -w(|field|).  Raises
+    UndefinedRatio when the bracket overflows a float.
+    """
+    _check_tree(J, d)
+    if math.isnan(field):
+        raise DimensionMismatch("field must be a number")
+    if field == 0.0:
+        return 0.0, 0
+    b = abs(field)
+    top = b + 2.0 * d * J
+    if top == math.inf:
+        raise UndefinedRatio(f"cavity log-ratio at J={J}, field {field}, d={d} overflows a float")
+    w, steps = _largest_w(J, d, b, top)
+    return math.copysign(w, field), steps
+
+
+def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:
+    """Branch ratio x(J, h) = e^w of the infinite d-ary tree under a
+    uniform field h: 1 at h = 0, in (1, inf) for h > 0 and in (0, 1) for
+    h < 0.  Raises UndefinedRatio when x overflows or underflows a float,
+    which happens once |h| exceeds about 355.
+    """
+    w, steps = _cavity_log_ratio(J, 2.0 * h, d)
     try:
-        x = math.exp(mid if h > 0.0 else -mid)
+        x = math.exp(w)
     except OverflowError:
         x = math.inf
     if not 0.0 < x < math.inf:
@@ -331,37 +333,17 @@ def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:
     return BetheSolution(x=x, iterations=steps)
 
 
-def tree_root_ratios(J: float, h: float, d: int, depth: int) -> TreeRootRatios:
-    """Exact root ratios of the finite complete d-ary tree via recursion."""
-    if depth < 0:
-        raise DimensionMismatch("depth must be nonnegative")
-    iterates = [1.0]
-    for _ in range(depth + 1):
-        iterates.append(_branch_step(J, h, d, iterates[-1]))
-    root_ratio = iterates[-1]
-    x_star = math.exp(-2.0 * h / d) * root_ratio ** ((d + 1) / d)
-    return TreeRootRatios(
-        depth=depth,
-        x=iterates[depth],
-        root_ratio=root_ratio,
-        x_star=x_star,
-        iterates=tuple(iterates),
-    )
-
-
 def nu_bethe_limit(J: float, eps: float, d: int) -> float:
-    """Deep-tree inference parameter under a uniform budget.
-
-    Applies the degree-(Delta) root formula with Delta = d + 1 to the
-    fixed point at field eps/2; at J = 0 this reduces to eps exactly.
-    """
+    """Deep-tree inference parameter under a uniform budget:
+    w + phi(w) at the cavity log-ratio w = eps + d phi(w).  It is eps at
+    J = 0; d = 0 is the dimer and d = 1 the infinite path."""
     if eps < 0.0:
         raise DimensionMismatch("eps must be nonnegative")
-    if eps == 0.0:
-        return 0.0
-    x = bethe_fixed_point(J, 0.5 * eps, d).x
-    delta_deg = d + 1
-    return (delta_deg / (delta_deg - 1.0)) * math.log(x) - eps / (delta_deg - 1.0)
+    w, _ = _cavity_log_ratio(J, eps, d)
+    nu = _w_minus_phi(w, J, -1.0)  # w + phi(w)
+    if nu == math.inf:
+        raise UndefinedRatio(f"deep-tree leakage at J={J}, eps={eps}, d={d} overflows a float")
+    return nu
 
 
 def critical_coupling(d: int) -> float:
@@ -371,52 +353,39 @@ def critical_coupling(d: int) -> float:
     return math.atanh(1.0 / d)
 
 
-def enforceable_epsilon(
-    target_nu: float, J: float, d: int, tol: float = 1e-10
-) -> Optional[float]:
+def enforceable_epsilon(target_nu: float, J: float, d: int) -> Optional[float]:
     """Largest budget whose deep-tree inference parameter stays <= target.
 
-    nu(eps) >= eps always, so the answer lies in (0, target_nu]; it is
-    found by bisection.  Returns None when even a vanishing budget leaks
-    more than the target (supercritical coupling with the target below
-    the inference floor).  A bisection step that finds nu decreasing in
-    eps raises NoConvergence.
+    nu = w + phi(w) rises strictly with the cavity log-ratio w, and
+    nu >= w, so one bisection on [0, target] finds the largest w that
+    meets the target.  The budget that gives it is eps = w - d phi(w).
+    Returns None when that is not positive: a supercritical coupling
+    whose inference floor lies above the target.
     """
-    if target_nu <= 0.0:
-        raise DimensionMismatch("target must be positive")
-    if nu_bethe_limit(J, target_nu, d) <= target_nu + 1e-12:
-        return target_nu
-    lo = min(1e-8, 0.5 * target_nu)
-    nu_lo = nu_bethe_limit(J, lo, d)
-    if nu_lo > target_nu:
-        return None
-    hi = target_nu
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        nu_mid = nu_bethe_limit(J, mid, d)
-        if nu_mid < nu_lo - 1e-12:
-            raise NoConvergence(f"nu decreased from {nu_lo} to {nu_mid} as eps rose to {mid}")
-        if nu_mid <= target_nu:
-            lo, nu_lo = mid, nu_mid
-        else:
-            hi = mid
-    return lo
+    if not 0.0 < target_nu < math.inf:
+        raise DimensionMismatch("target must be positive and finite")
+    _check_tree(J, d)
+    w, _ = _largest_w(J, -1.0, target_nu, target_nu)  # w + phi(w) <= target
+    eps = _w_minus_phi(w, J, d)
+    return eps if eps > 0.0 else None
 
 
 def sensitivity_profile(
     J: float, h0: float, d: int, eps_list: Sequence[float]
 ) -> List[Tuple[float, float]]:
     """Deep-tree inference parameter as a function of the budget, at a
-    fixed base field.  Uses w(h) = ln x(J, h):
+    fixed base field.  With w(f) the signed cavity log-ratio under the
+    log-odds field f at every site,
 
-      nu(eps) = max(w(h0 + eps/2) - w(h0), w(h0) - w(h0 - eps/2)).
+      nu(eps) = max(w(2 h0 + eps) - w(2 h0), w(2 h0) - w(2 h0 - eps)).
     """
-    w0 = math.log(bethe_fixed_point(J, h0, d).x)
+    field = 2.0 * h0
+    w0, _ = _cavity_log_ratio(J, field, d)
     out = []
     for eps in eps_list:
         if eps <= 0.0:
             raise DimensionMismatch("budgets must be positive")
-        up = math.log(bethe_fixed_point(J, h0 + 0.5 * eps, d).x) - w0
-        down = w0 - math.log(bethe_fixed_point(J, h0 - 0.5 * eps, d).x)
+        up = _cavity_log_ratio(J, field + eps, d)[0] - w0
+        down = w0 - _cavity_log_ratio(J, field - eps, d)[0]
         out.append((float(eps), max(up, down)))
     return out

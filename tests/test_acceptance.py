@@ -15,7 +15,7 @@ from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
 from infera.influence import dobrushin_bounds, influence_matrix, product_ratio_bound, spectral_norm
-from infera.ising import IsingTreeModel, bethe_fixed_point, nu_bethe_limit, sensitivity_profile, tree_root_ratios
+from infera.ising import IsingTreeModel, bethe_fixed_point, nu_bethe_limit, nu_tree, sensitivity_profile
 from infera.lp_exact import nu_exact
 from infera.mechanism import (
     PrivacyBudget,
@@ -157,11 +157,14 @@ def test_criterion_07_branch_recursion_matches_enumeration():
     w = np.exp(energy - energy.max())
     up = float(w[digits[:, 0] == 0].sum())
     down = float(w[digits[:, 0] == 1].sum())
-    want = up / down
-    got = tree_root_ratios(J, h, 2, 3).root_ratio
+    want = math.log(up / down)
+    # ln(root odds) under the field h is the root's leakage at zero field
+    # under the budget 2h.
+    zero_field = IsingTreeModel(d=2, depth=3, J=J).prior()
+    got = nu_tree(zero_field, PrivacyBudget.uniform(n, 2.0 * h))[0]
     gap = abs(got - want)
     assert gap <= 1e-9
-    _finish(7, t0, 2, f"15-node root odds gap {gap:.2e}")
+    _finish(7, t0, 2, f"15-node root log-odds gap {gap:.2e}")
 
 
 def test_criterion_08_fixed_point_laws():

@@ -348,6 +348,27 @@ def test_nu_huge_budget_is_a_typed_error(write_json, capsys, prior, method, eps)
     assert "error:" in captured.err and "error: unexpected" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["nu", "--eps", "1", "--method", "exact"],
+    ["nu", "--eps", "1", "--method", "closed-form"],
+    ["nu", "--eps", "1", "--method", "gibbs"],
+    ["nu", "--eps", "1", "--method", "all"],
+], ids=["check", "exact", "closed-form", "gibbs", "all"])
+@pytest.mark.parametrize("prior", [
+    {"n": 1, "alphabet": 2, "probs": [math.nan, 1.0]},
+    # Three times h0 overflows in the cell energies.
+    {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1.5e308}},
+], ids=["nan-weight", "overflowing-field"])
+def test_non_finite_prior_is_a_typed_error(write_json, capsys, prior, argv):
+    path = write_json("prior.json", prior)
+    code = main(argv[:1] + ["--dist", path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
 def _tree3_nu(eps, a):
     """nu at site a of TREE3 by log-sum-exp over its eight cells."""
     x = (np.arange(8)[:, None] >> np.arange(3)) & 1
@@ -396,3 +417,32 @@ def test_nu_exit_code_contract(tree3_file, target, eps, method):
     assert "error: unexpected" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and "error:" in err.getvalue()
+
+
+def _any_float(lo, hi):
+    return st.floats(lo, hi) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["nu-limit", "enforce", "sensitivity"]),
+    J=_any_float(-1.0, 3.0),
+    eps=_any_float(0.0, 5.0),
+    h0=_any_float(-1.0, 1.0),
+    d=st.integers(-2, 6),
+)
+def test_ising_exit_code_contract(command, J, eps, h0, d):
+    argv = {
+        "nu-limit": [f"--J={J!r}", f"--eps={eps!r}"],
+        "enforce": [f"--nu={eps!r}", f"--J={J!r}"],
+        "sensitivity": [f"--J={J!r}", f"--h0={h0!r}", f"--eps-list={eps!r}"],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["ising", command, f"--d={d}"] + argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "error: unexpected" not in err.getvalue()
+    if command == "nu-limit" and code == 0:
+        # Reports round to 12 significant digits.
+        assert json.loads(out.getvalue())["results"]["nu"] >= float(f"{eps:.12g}")

@@ -48,6 +48,12 @@ def test_from_dense_rejects_negative():
         from_dense(2, 2, [0.2, 0.3, -0.1, 0.6])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_dense_rejects_non_finite_weights(bad):
+    with pytest.raises(NegativeProbability):
+        from_dense(1, 2, [bad, 1.0])
+
+
 def test_from_dense_clamps_float_noise():
     d = from_dense(1, 2, [1.0, -1e-13])
     assert d.probs[1] == 0.0

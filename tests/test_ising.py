@@ -1,4 +1,4 @@
-"""Tree Gibbs priors, the branch recursion, and deep-tree leakage laws."""
+"""Tree Gibbs priors, message passing on forests, and deep-tree leakage laws."""
 
 import itertools
 import math
@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import bit_table
 from infera.dist import is_positively_affiliated
-from infera.errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotAffiliated,
-    SizeCap,
-    UndefinedRatio,
-)
+from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from infera.ising import (
     IsingPrior,
     IsingTreeModel,
@@ -24,12 +18,10 @@ from infera.ising import (
     critical_coupling,
     enforceable_epsilon,
     ising_tree_distribution,
-    magnetization_exact,
     nu_bethe_limit,
     nu_gibbs,
     nu_tree,
     sensitivity_profile,
-    tree_root_ratios,
 )
 from infera.mechanism import PrivacyBudget
 
@@ -81,6 +73,21 @@ def _enumerate_nu(n, edges, J, h, eps):
 def _prior(n, edges, J, h):
     i, j = (np.array([e[k] for e in edges], dtype=int) for k in (0, 1))
     return IsingPrior(n=n, i=i, j=j, J=np.asarray(J, dtype=float), h=np.asarray(h, dtype=float))
+
+
+def _complete_tree(d, depth, J):
+    """Complete d-ary tree at zero field, BFS indexed as IsingTreeModel
+    does, for any d >= 1 (d = 1 is a path from site 0)."""
+    n = sum(d**level for level in range(depth + 1))
+    child = np.arange(1, n)
+    return _prior(n, list(zip((child - 1) // d, child)), [J] * (n - 1), [0.0] * n)
+
+
+def _root_log_odds(d, depth, J, h):
+    """ln Pr(sigma_0 = +1)/Pr(sigma_0 = -1) of the complete tree under a
+    uniform field h >= 0: nu_tree at its root at zero field and eps = 2h."""
+    prior = _complete_tree(d, depth, J)
+    return nu_tree(prior, PrivacyBudget.uniform(prior.n, 2.0 * h))[0]
 
 
 # --- model and distribution ---------------------------------------------
@@ -152,39 +159,13 @@ def test_tree_prior_is_affiliated():
     assert ok and witness is None
 
 
-# --- exact magnetization -------------------------------------------------
-
-def test_magnetization_basic_laws():
-    assert abs(magnetization_exact(IsingTreeModel(d=2, depth=2, J=0.4), 0)) <= 1e-15
-    m = IsingTreeModel(d=2, depth=1, J=1e-12, h0=0.7)
-    assert abs(magnetization_exact(m, 0) - math.tanh(0.7)) <= 1e-9
-
-
-def test_magnetization_offset_paths_agree():
-    model = IsingTreeModel(d=2, depth=2, J=0.3, h0=0.1)
-    dist = ising_tree_distribution(model)
-    for offset in (0.0, 0.17, -0.4):
-        via_model = magnetization_exact(model, 1, field_offset=offset)
-        via_dist = magnetization_exact(dist, 1, field_offset=offset)
-        assert abs(via_model - via_dist) <= 1e-12
-
+# --- root odds -----------------------------------------------------------
 
 def test_root_ratio_against_enumeration():
     J, h = 0.3, 0.1
     m = IsingTreeModel(d=2, depth=2, J=J, h0=h)
-    want = _enumerate_ratio(m.n, m.edges(), J, h)
-    got = tree_root_ratios(J, h, 2, 2).root_ratio
-    assert abs(got - want) <= 1e-12 * want
-
-
-def test_x_star_is_symmetric_root_ratio():
-    # x_star at depth k is the root ratio of the tree whose root has
-    # d + 1 branches of depth k - 1: for d = 2, depth 2 that is 10 nodes.
-    J, h = 0.3, 0.1
-    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
-    want = _enumerate_ratio(10, edges, J, h)
-    got = tree_root_ratios(J, h, 2, 2).x_star
-    assert abs(got - want) <= 1e-9
+    want = math.log(_enumerate_ratio(m.n, m.edges(), J, h))
+    assert abs(_root_log_odds(2, 2, J, h) - want) <= 1e-12 * want
 
 
 # --- site leakage on finite trees ----------------------------------------
@@ -197,8 +178,7 @@ def test_nu_gibbs_frozen_value():
 def test_nu_gibbs_zero_field_identity():
     m = IsingTreeModel(d=2, depth=2, J=0.4)
     eps = 0.3
-    mag = magnetization_exact(m, 0, field_offset=0.5 * eps)
-    want = math.log1p(mag) - math.log1p(-mag)
+    want = math.log(_enumerate_ratio(m.n, m.edges(), m.J, 0.5 * eps))
     assert abs(nu_gibbs(m, eps, 0) - want) <= 1e-12
 
 
@@ -306,20 +286,38 @@ def test_nu_tree_overflowing_field_is_a_typed_error():
 
 
 def test_deep_tree_sites_approach_the_bethe_limit():
-    # d = 2, J = 0.3 is below atanh(1/2); the first site halfway down a
-    # complete tree sees ever more of the infinite tree as it deepens.
+    # J = 0.3 is below atanh(1/d) for d = 1, 2; the first site halfway
+    # down a complete tree sees ever more of the infinite tree as it
+    # deepens (for d = 1, the middle of an ever longer path).
     J, eps = 0.3, 0.5
-    limit = nu_bethe_limit(J, eps, 2)
-    gaps = []
-    for depth in (10, 12, 14):
-        m = IsingTreeModel(d=2, depth=depth, J=J)
-        nu = nu_tree(m.prior(), PrivacyBudget.uniform(m.n, eps))
-        gaps.append(limit - nu[2 ** (depth // 2) - 1])
-    assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] < 0.01
+    for d in (1, 2):
+        limit = nu_bethe_limit(J, eps, d)
+        gaps = []
+        for depth in (10, 12, 14):
+            prior = _complete_tree(d, depth, J)
+            nu = nu_tree(prior, PrivacyBudget.uniform(prior.n, eps))
+            gaps.append(limit - nu[sum(d**level for level in range(depth // 2))])
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 0.01
 
 
-# --- branch recursion ----------------------------------------------------
+def test_bethe_limit_with_no_branching_is_the_dimer():
+    prior = _prior(2, [(0, 1)], [0.3], [0.0, 0.0])
+    want = nu_tree(prior, PrivacyBudget.uniform(2, 1.0))
+    assert np.all(np.abs(want - 1.2708854885) <= 1e-10)
+    assert abs(nu_bethe_limit(0.3, 1.0, 0) - want[0]) <= 1e-15 * want[0]
+
+
+def test_bethe_limit_with_one_branch_is_the_infinite_path():
+    # 2,000 sites on either side of the middle leave a gap near
+    # tanh(0.3)^2000, far below a float's resolution.
+    prior = _complete_tree(1, 4000, 0.3)
+    want = nu_tree(prior, PrivacyBudget.uniform(prior.n, 1.0))[2000]
+    assert abs(want - 1.6904167550) <= 1e-10
+    assert abs(nu_bethe_limit(0.3, 1.0, 1) - want) <= 1e-14 * want
+
+
+# --- cavity fixed point --------------------------------------------------
 
 def test_fixed_point_basic_laws():
     sol = bethe_fixed_point(0.4, 0.0, 2)
@@ -370,34 +368,25 @@ def test_fixed_point_outside_float_range_is_a_typed_error(h):
 
 
 def test_finite_iterates_climb_to_fixed_point():
-    J, h, d = 0.3, 0.1, 2
-    ratios = tree_root_ratios(J, h, d, 12)
-    xs = ratios.iterates
-    fix = bethe_fixed_point(J, h, d).x
-    assert all(a < b for a, b in zip(xs, xs[1:]))
-    assert xs[-1] < fix
-    assert abs(tree_root_ratios(J, h, d, 60).root_ratio - fix) <= 1e-10
-
-
-def test_depth_zero_ratios():
-    r = tree_root_ratios(0.3, 0.1, 2, 0)
-    assert r.x == 1.0
-    assert abs(r.root_ratio - math.exp(0.2)) <= 1e-15
-    # A lone root is the same tree under either degree convention.
-    assert abs(r.x_star - math.exp(0.2)) <= 1e-15
-    with pytest.raises(DimensionMismatch):
-        tree_root_ratios(0.3, 0.1, 2, -1)
+    # The root of a complete tree of depth k has the log-odds of the
+    # (k + 1)-th iterate of w <- 2h + d phi(w) from 0: they climb to ln x.
+    J, h = 0.3, 0.1
+    for d in (2, 1):
+        w = math.log(bethe_fixed_point(J, h, d).x)
+        odds = [_root_log_odds(d, depth, J, h) for depth in range(13)]
+        assert all(a < b for a, b in zip(odds, odds[1:]))
+        assert odds[-1] < w
+    # A path is long enough at 61 sites.
+    assert abs(_root_log_odds(1, 60, J, h) - w) <= 1e-10
 
 
 def test_finite_trees_leak_less_than_the_limit():
-    # ln(root ratio) stays below (d+1)/d ln x - 2h/d with a positive,
-    # strictly shrinking gap as the tree deepens.
+    # The root of a complete tree, which has d branches, leaks less than
+    # a deep-tree site, which has d + 1, with a positive, strictly
+    # shrinking gap as the tree deepens.
     J, h, d = 0.3, 0.1, 2
-    fix = bethe_fixed_point(J, h, d).x
-    bound = (d + 1) / d * math.log(fix) - 2 * h / d
-    gaps = []
-    for depth in range(7):
-        gaps.append(bound - math.log(tree_root_ratios(J, h, d, depth).root_ratio))
+    bound = nu_bethe_limit(J, 2.0 * h, d)
+    gaps = [bound - _root_log_odds(d, depth, J, h) for depth in range(7)]
     assert all(g > 0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -446,8 +435,54 @@ def test_enforceable_budget():
     assert nu_bethe_limit(0.3, eps, 2) <= 0.4 + 1e-9
     assert nu_bethe_limit(0.3, eps + 1e-6, 2) > 0.4
     assert enforceable_epsilon(0.01, 0.7, 2) is None
-    with pytest.raises(DimensionMismatch):
-        enforceable_epsilon(0.0, 0.3, 2)
+    for target in (0.0, math.inf, math.nan):
+        with pytest.raises(DimensionMismatch):
+            enforceable_epsilon(target, 0.3, 2)
+
+
+@pytest.mark.parametrize("J", [0.0, 0.1, 0.3, 0.5493, 0.7, 1.5, 3.0])
+def test_enforceable_budget_round_trip(J):
+    # Sub- and supercritical couplings for every branching up to 4: the
+    # returned budget leaks the target, never more; None only when even a
+    # vanishing budget leaks more.
+    for d in range(5):
+        for target in (1e-3, 0.05, 0.4, 2.0, 10.0, 50.0):
+            eps = enforceable_epsilon(target, J, d)
+            if eps is None:
+                assert nu_bethe_limit(J, 1e-300, d) > target
+                continue
+            nu = nu_bethe_limit(J, eps, d)
+            assert nu <= target + 1e-12
+            assert abs(nu - target) <= 1e-9
+
+
+def test_strong_coupling_does_not_saturate():
+    # tanh(20) rounds to 1: every branch then copies its field, w = 1 + 2 * 40.
+    assert abs(nu_bethe_limit(20.0, 1.0, 2) - 121.0) <= 1e-12
+    assert abs(nu_bethe_limit(20.0, 1.0, 0) - 2.0) <= 1e-15
+    assert enforceable_epsilon(0.4, 20.0, 2) is None
+    eps = enforceable_epsilon(10.0, 20.0, 1)
+    assert eps is not None and abs(nu_bethe_limit(20.0, eps, 1) - 10.0) <= 1e-12
+    ((_, nu),) = sensitivity_profile(20.0, 0.0, 2, [1.0])
+    assert abs(nu - math.log(bethe_fixed_point(20.0, 0.5, 2).x)) <= 1e-12
+
+
+@pytest.mark.parametrize("J,d,error", [
+    (-0.3, 2, NotAffiliated),
+    (math.nan, 2, DimensionMismatch),
+    (math.inf, 2, DimensionMismatch),
+    (0.3, -1, DimensionMismatch),
+], ids=["negative-J", "nan-J", "inf-J", "negative-d"])
+def test_deep_tree_laws_refuse_bad_trees(J, d, error):
+    for call in (
+        lambda: nu_bethe_limit(J, 1.0, d),
+        lambda: nu_bethe_limit(J, 0.0, d),
+        lambda: enforceable_epsilon(0.4, J, d),
+        lambda: sensitivity_profile(J, 0.1, d, [0.5]),
+        lambda: bethe_fixed_point(J, 0.1, d),
+    ):
+        with pytest.raises(error):
+            call()
 
 
 def test_sensitivity_profile_matches_limit_at_zero_base_field():
@@ -475,14 +510,3 @@ def test_sensitivity_saturation_scenario():
 def test_sensitivity_rejects_nonpositive_budget():
     with pytest.raises(DimensionMismatch):
         sensitivity_profile(0.3, 0.1, 2, [0.2, 0.0])
-
-
-def test_enforceable_epsilon_refuses_a_decreasing_nu(monkeypatch):
-    # nu drops from 0.2 at the bisection's low end to 0.04 at its first
-    # midpoint, which a correct nu(eps) never does.
-    def fake(J, eps, d):
-        return 0.8 if eps == 0.4 else (0.2 if eps < 1e-6 else 0.04)
-
-    monkeypatch.setattr("infera.ising.nu_bethe_limit", fake)
-    with pytest.raises(NoConvergence):
-        enforceable_epsilon(0.4, 0.3, 2)
