@@ -21,23 +21,23 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dist import DEFAULT_CAP, is_pairwise_positively_correlated, is_positively_affiliated
-from .errors import (
-    InferaError,
-    NotAffiliated,
-    ParseError,
-    SpectralNormTooLarge,
-    UnboundedInfluence,
+from .dist import (
+    DEFAULT_CAP,
+    JointDistribution,
+    check_coordinate,
+    is_pairwise_positively_correlated,
+    is_positively_affiliated,
 )
+from .errors import InferaError, NotAffiliated, ParseError, SpectralNormTooLarge
 from .files import load_distribution, save_mechanism
 from .influence import dobrushin_bounds, influence_matrix, spectral_norm
 from .ising import (
-    IsingTreeModel,
+    IsingPrior,
     bethe_fixed_point,
     critical_coupling,
     enforceable_epsilon,
     nu_bethe_limit,
-    nu_gibbs,
+    nu_tree,
     sensitivity_profile,
 )
 from .lp_exact import DEFAULT_LP_CAP, nu_exact
@@ -60,9 +60,7 @@ def _sig(value):
     if isinstance(value, (list, tuple)):
         return [_sig(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_sig(float(v)) for v in value.ravel()] if value.ndim == 1 else [
-            _sig(list(map(float, row))) for row in value
-        ]
+        return _sig(value.tolist())
     if isinstance(value, (np.floating,)):
         return _sig(float(value))
     if isinstance(value, (np.integer,)):
@@ -70,9 +68,7 @@ def _sig(value):
     return value
 
 
-def _digest(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
+def _digest(path: str) -> Optional[str]:
     try:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()[:16]
@@ -84,28 +80,28 @@ def _emit(report: dict, args, t0: float) -> None:
     report = dict(report)
     report["results"] = _sig(report.get("results", {}))
     report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["key,value"]
         for key, value in sorted(report["results"].items()):
             lines.append(f"{key},{json.dumps(value)}")
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Write text to --out, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _base_report(args, inputs: dict) -> dict:
-    echo = getattr(args, "_argv", None)
-    if echo is None:
-        echo = sys.argv[1:]
     return {
-        "command": " ".join(echo),
+        "command": " ".join(args._argv),
         "inputs": _sig(inputs),
         "results": {},
         "warnings": [],
@@ -134,8 +130,8 @@ def _parse_eps(text: str, n: int) -> PrivacyBudget:
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None):
-        return int(args.cap)
+    if args.cap:
+        return args.cap
     env = os.environ.get("INFERA_CAP")
     if env:
         try:
@@ -145,9 +141,21 @@ def _cap(args) -> int:
     return DEFAULT_CAP
 
 
+def _dense(prior, args) -> JointDistribution:
+    """The prior over all its cells; an IsingPrior is enumerated within --cap."""
+    return prior.dense(_cap(args)) if isinstance(prior, IsingPrior) else prior
+
+
+def _tree_nu(prior, budget: PrivacyBudget, target: int) -> float:
+    if not isinstance(prior, IsingPrior):
+        raise ParseError("--method gibbs needs an ising_tree generator file")
+    check_coordinate(prior.n, target)
+    return float(nu_tree(prior, budget)[target])
+
+
 def cmd_check(args) -> int:
     t0 = time.time()
-    dist, _ = load_distribution(args.dist, cap=_cap(args))
+    dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
     report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     failed = False
@@ -168,15 +176,17 @@ def cmd_check(args) -> int:
 
 def cmd_nu(args) -> int:
     t0 = time.time()
-    dist, model = load_distribution(args.dist, cap=_cap(args))
-    budget = _parse_eps(args.eps, dist.n)
+    prior = load_distribution(args.dist, cap=_cap(args))
+    budget = _parse_eps(args.eps, prior.n)
     report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
-    results["n"] = dist.n
+    results["n"] = prior.n
     results["target"] = args.target
     results["method"] = args.method
-    if args.method == "exact":
-        cert = nu_exact(dist, budget, args.target, cap=args.lp_cap)
+    if args.method == "gibbs":
+        results["nu"] = _tree_nu(prior, budget, args.target)
+    elif args.method == "exact":
+        cert = nu_exact(_dense(prior, args), budget, args.target, cap=args.lp_cap)
         results["nu"] = cert.nu
         results["nu_upper"] = cert.nu_upper
         results["direction"] = list(cert.direction)
@@ -192,7 +202,7 @@ def cmd_nu(args) -> int:
             with warnings.catch_warnings():
                 # The report's warnings list already records the force path.
                 warnings.simplefilter("ignore")
-                res = nu_closed_form(dist, budget, args.target, force=args.force)
+                res = nu_closed_form(_dense(prior, args), budget, args.target, force=args.force)
         except NotAffiliated as exc:
             results["nu"] = None
             results["not_affiliated_witness"] = [list(w) for w in exc.witness]
@@ -207,14 +217,8 @@ def cmd_nu(args) -> int:
         results["winning_z"] = res.winning_z
         results["numerator"] = res.numerator
         results["denominator"] = res.denominator
-    elif args.method == "gibbs":
-        if model is None:
-            raise ParseError("--method gibbs needs an ising_tree generator file")
-        uniform = budget.eps
-        if np.any(uniform != uniform[0]):
-            raise ParseError("--method gibbs needs a uniform budget")
-        results["nu"] = nu_gibbs(model, float(uniform[0]), args.target)
     else:  # all
+        dist = _dense(prior, args)
         values = {}
         cert = nu_exact(dist, budget, args.target, cap=args.lp_cap)
         values["exact"] = cert.nu
@@ -222,8 +226,8 @@ def cmd_nu(args) -> int:
             values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
         except NotAffiliated as exc:
             report["warnings"].append(f"closed form skipped: {exc}")
-        if model is not None and not np.any(budget.eps != budget.eps[0]):
-            values["gibbs"] = nu_gibbs(model, float(budget.eps[0]), args.target)
+        if isinstance(prior, IsingPrior):
+            values["gibbs"] = _tree_nu(prior, budget, args.target)
         results.update(values)
         results["nu"] = cert.nu
         spread = max(values.values()) - min(values.values())
@@ -238,7 +242,7 @@ def cmd_nu(args) -> int:
 
 def cmd_bound(args) -> int:
     t0 = time.time()
-    dist, _ = load_distribution(args.dist, cap=_cap(args))
+    dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
     budget = _parse_eps(args.eps, dist.n)
     report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
@@ -295,31 +299,25 @@ def cmd_ising(args) -> int:
         lines = ["eps,J,h0,d,nu,backend"]
         for J in j_grid:
             for eps in eps_grid:
-                if args.h0 == 0.0:
-                    nu = nu_bethe_limit(J, eps, args.d)
-                    backend = "bethe-limit"
-                else:
+                if args.h0 == 0.0:  # an interior site
+                    nu, backend = nu_bethe_limit(J, eps, args.d), "bethe-limit"
+                else:  # the root
                     ((_, nu),) = sensitivity_profile(J, args.h0, args.d, [eps])
                     backend = "bethe-sensitivity"
-                lines.append(
-                    f"{eps:.12g},{J:.12g},{args.h0:.12g},{args.d},{nu:.12g},{backend}"
-                )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+                lines.append(f"{eps:.12g},{J:.12g},{args.h0:.12g},{args.d},{nu:.12g},{backend}")
+        _write("\n".join(lines) + "\n", args)
         return EXIT_OK
     _emit(report, args, t0)
     return code
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, cap: bool = False) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="dense size cap (also INFERA_CAP)")
+    if cap:
+        parser.add_argument("--cap", type=int, default=None,
+                            help="size cap of the loaded prior: cells of a dense prior, "
+                            "sites of an ising_tree prior (also INFERA_CAP)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="structure checks on a prior")
     p.add_argument("--dist", required=True)
     p.add_argument("--what", choices=("affiliation", "pairwise", "both"), default="both")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("nu", help="inference parameter of one coordinate")
@@ -346,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the closed form on non-affiliated priors")
     p.add_argument("--witness-out", default=None, help="export the LP witness")
     p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(func=cmd_nu)
 
     p = sub.add_parser("bound", help="influence-matrix bounds")
     p.add_argument("--dist", required=True)
     p.add_argument("--eps", required=True)
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("ising", help="deep-tree analysis")
@@ -363,35 +361,33 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
     _add_common(q)
-    q.set_defaults(func=cmd_ising)
 
     q = isub.add_parser("critical")
     q.add_argument("--d", type=int, required=True)
     _add_common(q)
-    q.set_defaults(func=cmd_ising)
 
     q = isub.add_parser("enforce")
     q.add_argument("--nu", type=float, required=True, help="target leakage")
     q.add_argument("--J", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
     _add_common(q)
-    q.set_defaults(func=cmd_ising)
 
-    q = isub.add_parser("sensitivity")
+    q = isub.add_parser("sensitivity", help="leakage of the root, which has d neighbours")
     q.add_argument("--J", type=float, required=True)
     q.add_argument("--h0", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--eps-list", required=True, help="comma-separated budgets")
     _add_common(q)
-    q.set_defaults(func=cmd_ising)
 
-    q = isub.add_parser("sweep")
+    text = ("CSV of deep-tree leakage: of an interior site (nu-limit) at h0 = 0, of the "
+            "root (sensitivity) otherwise; at J=0.3, eps=0.5, d=2 these are 1.366 and 1.077")
+    q = isub.add_parser("sweep", help=text, description=text)
     q.add_argument("--J-grid", required=True, help="comma-separated couplings")
     q.add_argument("--eps-grid", required=True, help="comma-separated budgets")
     q.add_argument("--h0", type=float, default=0.0)
     q.add_argument("--d", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_ising)
+    q.add_argument("--out", default=None, help="write the CSV here")
+    p.set_defaults(func=cmd_ising)
 
     return parser
 

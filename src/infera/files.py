@@ -9,6 +9,10 @@ or a named generator
     {"generator": "twins" | "product" | "parity" | "ising_tree",
      "params": {...}}
 
+Each file loads as one prior: an IsingPrior for ising_tree, whose dense
+form the caller builds only where it needs the cells, and a
+JointDistribution otherwise.
+
 Mechanisms use {"kind": "profile", "n": ..., "alphabet": ..., "m": [...]},
 {"kind": "table", "n": ..., "alphabet": ..., "table": [[...]]} or
 {"kind": "max_biased", "z": 0|1}, the last needing a budget to
@@ -18,22 +22,22 @@ materialize.  Field names are part of the CLI contract.
 from __future__ import annotations
 
 import json
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import dist as dist_mod
 from .dist import DEFAULT_CAP, JointDistribution
-from .errors import ParseError
-from .ising import IsingTreeModel, ising_tree_distribution
+from .errors import ParseError, SizeCap
+from .ising import IsingPrior, IsingTreeModel
 from .mechanism import EventProfile, OutcomeTable, PrivacyBudget, max_biased_profile
 
 
-def load_distribution(
-    path: str, cap: int = DEFAULT_CAP
-) -> Tuple[JointDistribution, Optional[IsingTreeModel]]:
-    """Read a distribution file; also returns the tree model when the
-    file used the ising_tree generator, since some methods need it."""
+def load_distribution(path: str, cap: int = DEFAULT_CAP) -> Union[JointDistribution, IsingPrior]:
+    """Read a distribution file: the prior it describes, an IsingPrior for
+    the ising_tree generator and a JointDistribution otherwise.  cap
+    bounds what the prior holds: sites of an IsingPrior, cells of a
+    JointDistribution."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -44,43 +48,39 @@ def load_distribution(
 
 def distribution_from_obj(
     obj: dict, cap: int = DEFAULT_CAP
-) -> Tuple[JointDistribution, Optional[IsingTreeModel]]:
+) -> Union[JointDistribution, IsingPrior]:
     if not isinstance(obj, dict):
         raise ParseError("distribution file must hold a JSON object")
-    if "generator" in obj:
-        name = obj["generator"]
-        params = obj.get("params", {})
-        try:
-            if name == "twins":
-                return dist_mod.perfectly_correlated(
-                    int(params["n"]), float(params["p_one"]), cap=cap
-                ), None
-            if name == "product":
-                return dist_mod.product(params["marginals"], cap=cap), None
-            if name == "parity":
-                return dist_mod.parity_constrained(
-                    int(params["r"]), int(params["s"]), cap=cap
-                ), None
-            if name == "ising_tree":
-                model = IsingTreeModel(
-                    d=int(params["d"]),
-                    depth=int(params["depth"]),
-                    J=float(params["J"]),
-                    h0=float(params.get("h0", 0.0)),
-                )
-                return ising_tree_distribution(model, cap=cap), model
-        except KeyError as exc:
-            raise ParseError(f"generator {name} missing parameter {exc}") from exc
-        raise ParseError(f"unknown generator {name!r}")
+    name = obj.get("generator")
+    params = obj.get("params", {})
     try:
-        return (
-            dist_mod.from_dense(
-                int(obj["n"]), int(obj["alphabet"]), obj["probs"], cap=cap
-            ),
-            None,
-        )
+        if name is None:
+            return dist_mod.from_dense(int(obj["n"]), int(obj["alphabet"]), obj["probs"], cap=cap)
+        if name == "twins":
+            return dist_mod.perfectly_correlated(int(params["n"]), float(params["p_one"]), cap=cap)
+        if name == "product":
+            return dist_mod.product(params["marginals"], cap=cap)
+        if name == "parity":
+            return dist_mod.parity_constrained(int(params["r"]), int(params["s"]), cap=cap)
+        if name == "ising_tree":
+            model = IsingTreeModel(d=int(params["d"]), depth=int(params["depth"]),
+                                   J=float(params["J"]), h0=float(params.get("h0", 0.0)))
+            # Count the sites level by level: a deep tree fails here
+            # before d**(depth + 1) or any array is formed.
+            sites = level = 1
+            for _ in range(model.depth):
+                if sites > cap:
+                    break
+                level *= model.d
+                sites += level
+            if sites > cap:
+                raise SizeCap(f"ising_tree with d={model.d} and depth {model.depth} "
+                              f"has more sites than the cap of {cap}")
+            return model.prior()
     except KeyError as exc:
-        raise ParseError(f"distribution object missing field {exc}") from exc
+        source = "distribution object" if name is None else f"generator {name}"
+        raise ParseError(f"{source} missing field {exc}") from exc
+    raise ParseError(f"unknown generator {name!r}")
 
 
 def load_mechanism(

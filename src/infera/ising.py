@@ -54,6 +54,11 @@ from .errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
 
 
+# 2^-52: a leakage shortfall this small moves the odds factor e^nu by
+# about an ulp.
+_ULP = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True, eq=False)
 class IsingPrior:
     """Ising prior on n sites with edges (i[k], j[k]) of coupling J[k] >= 0
@@ -83,8 +88,13 @@ class IsingPrior:
             raise DimensionMismatch(f"edge endpoint out of range for n={n}")
         if np.any(i == j):
             raise DimensionMismatch(f"self-loop at site {int(i[i == j][0])}")
-        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(h))):
-            raise DimensionMismatch("couplings and fields must be finite")
+        # Every cell energy is bounded by this sum, so `dense` cannot overflow.
+        with np.errstate(over="ignore"):
+            total = np.abs(J).sum() + np.abs(h).sum()
+        if not math.isfinite(total):
+            raise DimensionMismatch(
+                f"couplings and fields must be finite and |J| + |h| must sum to a float, got {total}"
+            )
         if np.any(J < 0.0):
             k = int(np.argmin(J))
             raise NotAffiliated(
@@ -133,11 +143,6 @@ class IsingTreeModel:
     def n(self) -> int:
         return (self.d ** (self.depth + 1) - 1) // (self.d - 1)
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """Parent-child pairs of `prior`."""
-        p = self.prior()
-        return list(zip(p.i.tolist(), p.j.tolist()))
-
     def prior(self) -> IsingPrior:
         """The model as an IsingPrior; node k > 0 hangs below (k - 1) // d."""
         child = np.arange(1, self.n)
@@ -163,17 +168,17 @@ def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> Jo
     return model.prior().dense(cap)
 
 
-def _log2cosh(y: np.ndarray) -> np.ndarray:
-    """ln(2 cosh y) = |y| + ln(1 + e^{-2|y|}), which cannot overflow."""
-    a = np.abs(y)
-    return a + np.log1p(np.exp(-2.0 * a))
-
-
 def _cavity_message(x: np.ndarray, J: np.ndarray) -> np.ndarray:
     """atanh(tanh J tanh x): the field that a site of cavity field x
-    sends across an edge of coupling J.  As a difference of ln cosh
-    terms it does not saturate at large |x| as tanh x does."""
-    return 0.5 * (_log2cosh(x + J) - _log2cosh(x - J))
+    sends across an edge of coupling J, in the form of `_w_minus_phi`:
+    sign(x) (m + log1p(expm1(-4m) / (1 + e^{2||x| - J|})) / 2) with
+    m = min(|x|, J).  It neither saturates at large |x| nor loses
+    relative precision as x goes to 0.  e^{2||x| - J|} may overflow to
+    inf, which leaves m."""
+    a = np.abs(x)
+    m = np.minimum(a, J)
+    r = np.expm1(-4.0 * m) / (1.0 + np.exp(2.0 * np.abs(a - J)))
+    return np.copysign(m + 0.5 * np.log1p(r), x)
 
 
 def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
@@ -189,8 +194,14 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     reverse and completes each site's effective field from its
     parent's.  O(n) work in as many numpy rounds as the forest is high.
 
-    Raises DimensionMismatch when the edges hold a cycle or the budget
-    has the wrong length, and UndefinedRatio when a field overflows.
+    Every site leaks at least its own budget, nu_a >= eps_a.  Raises
+    DimensionMismatch when the edges hold a cycle or the budget has the
+    wrong length, and UndefinedRatio when a field overflows or a site's
+    nu falls short of its budget by more than the rounding of its fields
+    (a few ulps of |h_a| + eps_a/2 + the couplings at a, per term summed)
+    or by more than half, as when a large field swallows the budget.
+    Shortfalls under 2^-52 pass: they move the odds factor e^nu by about
+    an ulp.
     """
     n = prior.n
     if budget.n != n:
@@ -236,6 +247,18 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     if not np.all(np.isfinite(nu)):
         a = int(np.flatnonzero(~np.isfinite(nu))[0])
         raise UndefinedRatio(f"effective field at site {a} overflows a float")
+    short = budget.eps - nu
+    if np.any(short > _ULP):
+        # Each term summed into a site's field rounds once.
+        load = np.abs(prior.h) + half + np.bincount(ends, np.tile(prior.J, 2), minlength=n)
+        noise = 8.0 * (np.bincount(ends, minlength=n) + 1) * np.spacing(load)
+        bad = np.flatnonzero(short > np.maximum(np.minimum(noise, half), _ULP))
+        if bad.size:
+            a = int(bad[0])
+            raise UndefinedRatio(
+                f"site {a} leaks {nu[a]:.6g}, below its budget {budget.eps[a]:.6g}: "
+                f"its fields (|h| + eps/2 + J up to {load[a]:.6g}) round the budget away"
+            )
     return nu
 
 
@@ -347,10 +370,12 @@ def nu_bethe_limit(J: float, eps: float, d: int) -> float:
 
 
 def critical_coupling(d: int) -> float:
-    """Coupling above which the zero-field fixed point becomes unstable."""
-    if d < 2:
-        raise DimensionMismatch("branching factor must be at least 2")
-    return math.atanh(1.0 / d)
+    """Coupling above which the zero-field fixed point becomes unstable,
+    atanh(1/d).  The dimer (d = 0) and the infinite path (d = 1) have
+    none: math.inf."""
+    if d < 0:
+        raise DimensionMismatch(f"branching factor must be nonnegative, got {d}")
+    return math.atanh(1.0 / d) if d > 1 else math.inf
 
 
 def enforceable_epsilon(target_nu: float, J: float, d: int) -> Optional[float]:
@@ -373,11 +398,16 @@ def enforceable_epsilon(target_nu: float, J: float, d: int) -> Optional[float]:
 def sensitivity_profile(
     J: float, h0: float, d: int, eps_list: Sequence[float]
 ) -> List[Tuple[float, float]]:
-    """Deep-tree inference parameter as a function of the budget, at a
-    fixed base field.  With w(f) the signed cavity log-ratio under the
-    log-odds field f at every site,
+    """Deep-tree inference parameter of the root as a function of the
+    budget, at a fixed base field.  With w(f) the signed cavity log-ratio
+    under the log-odds field f at every site,
 
       nu(eps) = max(w(2 h0 + eps) - w(2 h0), w(2 h0) - w(2 h0 - eps)).
+
+    The root has d neighbours, so its log-odds is w itself; this is not
+    the interior site of `nu_bethe_limit`, whose d + 1 neighbours give it
+    w + phi(w).  At J = 0.3, eps = 0.5, d = 2 the root leaks 1.0772 and
+    the interior site 1.3658.
     """
     field = 2.0 * h0
     w0, _ = _cavity_log_ratio(J, field, d)

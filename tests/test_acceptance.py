@@ -152,7 +152,8 @@ def test_criterion_07_branch_recursion_matches_enumeration():
     digits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     sigma = 1.0 - 2.0 * digits
     energy = h * sigma.sum(axis=1)
-    for i, j in model.edges():
+    prior = model.prior()
+    for i, j in zip(prior.i, prior.j):
         energy += J * sigma[:, i] * sigma[:, j]
     w = np.exp(energy - energy.max())
     up = float(w[digits[:, 0] == 0].sum())

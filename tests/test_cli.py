@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infera.cli import main
-from infera.files import load_mechanism
+from infera.files import distribution_from_obj, load_mechanism
+from infera.ising import IsingPrior, IsingTreeModel, nu_tree
 from infera.mechanism import PrivacyBudget, dp_audit, mechanism_nu
-from infera.dist import parity_constrained
+from infera.dist import JointDistribution, parity_constrained
 
 
 @pytest.fixture
@@ -37,6 +39,7 @@ PRODUCT = {"generator": "product", "params": {"marginals": [[0.3, 0.7], [0.6, 0.
 PARITY = {"generator": "parity", "params": {"r": 2, "s": 2}}
 TREE = {"generator": "ising_tree", "params": {"d": 2, "depth": 2, "J": 0.3, "h0": 0.1}}
 TREE3 = {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3}}
+TREE63 = {"generator": "ising_tree", "params": {"d": 2, "depth": 5, "J": 0.3, "h0": 0.1}}
 DENSE3 = {"n": 3, "alphabet": 2, "probs": [0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1]}
 
 
@@ -155,6 +158,81 @@ def test_nu_gibbs_needs_tree_file(write_json, capsys):
     capsys.readouterr()
 
 
+def test_a_file_loads_as_one_prior():
+    # A tree stays sparse: 63 sites, not 2**63 cells.
+    prior = distribution_from_obj(TREE63)
+    assert isinstance(prior, IsingPrior) and prior.n == 63
+    assert isinstance(distribution_from_obj(TWINS), JointDistribution)
+    assert isinstance(distribution_from_obj(DENSE3), JointDistribution)
+
+
+def test_nu_gibbs_past_the_dense_cap(write_json, capsys):
+    # 63 sites: 2**63 cells, but nu_tree never enumerates them.
+    path = write_json("tree63.json", TREE63)
+    code, report = _run(capsys, ["nu", "--dist", path, "--eps", "0.2", "--target", "40",
+                                 "--method", "gibbs"])
+    prior = IsingTreeModel(d=2, depth=5, J=0.3, h0=0.1).prior()
+    want = nu_tree(prior, PrivacyBudget.uniform(63, 0.2))[40]
+    assert code == 0
+    assert report["results"]["nu"] == float(f"{want:.12g}")
+
+
+def test_nu_gibbs_takes_any_budget(write_json, capsys):
+    path = write_json("tree.json", TREE)
+    argv = ["nu", "--dist", path, "--eps", "0.1,0.2,0.3,0.05,0.4,0.15,0.25", "--target", "1"]
+    code, closed = _run(capsys, argv + ["--method", "closed-form"])
+    assert code == 0
+    for method, key in (("gibbs", "nu"), ("all", "gibbs")):
+        code, report = _run(capsys, argv + ["--method", method])
+        assert code == 0
+        assert abs(report["results"][key] - closed["results"]["nu"]) <= 1e-9
+
+
+def test_nu_gibbs_refuses_a_budget_its_fields_swallow(write_json, capsys):
+    # h0 + 1/2 rounds back to h0 = 1e17, which would report nu = 0 < eps.
+    path = write_json("tree.json", {"generator": "ising_tree",
+                                    "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1e17}})
+    code = main(["nu", "--dist", path, "--eps", "1", "--method", "gibbs"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "error: site 0 " in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["bound", "--eps", "0.2"],
+    ["nu", "--eps", "0.2", "--method", "exact"],
+    ["nu", "--eps", "0.2", "--method", "closed-form"],
+    ["nu", "--eps", "0.2", "--method", "gibbs"],
+    ["nu", "--eps", "0.2", "--method", "all"],
+], ids=["check", "bound", "exact", "closed-form", "gibbs", "all"])
+def test_tree_past_the_site_cap_is_refused_before_it_is_built(write_json, capsys, argv):
+    path = write_json("deep.json", {"generator": "ising_tree",
+                                    "params": {"d": 2, "depth": 62, "J": 0.3}})
+    code = main(argv[:1] + ["--dist", path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ising_tree") and "cap" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ising", "nu-limit", "--J", "0.3", "--eps", "0.2", "--d", "2", "--cap", "8"],
+    ["ising", "critical", "--d", "2", "--cap", "8"],
+    ["ising", "enforce", "--nu", "0.4", "--J", "0.3", "--d", "2", "--cap", "8"],
+    ["ising", "sensitivity", "--J", "0.3", "--h0", "0.1", "--d", "2", "--eps-list", "0.2",
+     "--cap", "8"],
+    ["ising", "sweep", "--J-grid", "0.3", "--eps-grid", "0.2", "--d", "2", "--cap", "8"],
+    ["ising", "sweep", "--J-grid", "0.3", "--eps-grid", "0.2", "--d", "2", "--format", "json"],
+], ids=["nu-limit-cap", "critical-cap", "enforce-cap", "sensitivity-cap", "sweep-cap",
+        "sweep-format"])
+def test_options_without_effect_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_bound_on_product_prior(write_json, capsys):
     path = write_json("product.json", PRODUCT)
     code, report = _run(capsys, ["bound", "--dist", path, "--eps", "0.3,0.7"])
@@ -180,6 +258,12 @@ def test_ising_critical(capsys):
     assert code == 0
     want = 0.5 * math.log(3.0)
     assert abs(report["results"]["critical_coupling"] - want) <= 1e-9
+    # The infinite path has no finite critical coupling.
+    code, report = _run(capsys, ["ising", "critical", "--d", "1"])
+    assert code == 0
+    assert report["results"]["critical_coupling"] == "inf"
+    assert main(["ising", "critical", "--d", "-1"]) == 2
+    capsys.readouterr()
 
 
 def test_ising_nu_limit_supercritical(capsys):
@@ -350,23 +434,28 @@ def test_nu_huge_budget_is_a_typed_error(write_json, capsys, prior, method, eps)
 
 @pytest.mark.parametrize("argv", [
     ["check"],
+    ["bound", "--eps", "1"],
     ["nu", "--eps", "1", "--method", "exact"],
     ["nu", "--eps", "1", "--method", "closed-form"],
     ["nu", "--eps", "1", "--method", "gibbs"],
     ["nu", "--eps", "1", "--method", "all"],
-], ids=["check", "exact", "closed-form", "gibbs", "all"])
+], ids=["check", "bound", "exact", "closed-form", "gibbs", "all"])
 @pytest.mark.parametrize("prior", [
     {"n": 1, "alphabet": 2, "probs": [math.nan, 1.0]},
-    # Three times h0 overflows in the cell energies.
+    # Three times h0 overflows a float.
     {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1.5e308}},
 ], ids=["nan-weight", "overflowing-field"])
 def test_non_finite_prior_is_a_typed_error(write_json, capsys, prior, argv):
     path = write_json("prior.json", prior)
-    code = main(argv[:1] + ["--dist", path] + argv[1:])
+    # A numpy warning would surface as an unexpected error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv[:1] + ["--dist", path] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "error:" in captured.err and "error: unexpected" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "error: unexpected" not in captured.err
 
 
 def _tree3_nu(eps, a):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ def _prior(n, edges, J, h):
     return IsingPrior(n=n, i=i, j=j, J=np.asarray(J, dtype=float), h=np.asarray(h, dtype=float))
 
 
+def _edges(model):
+    """Parent-child pairs of the model's prior."""
+    p = model.prior()
+    return list(zip(p.i.tolist(), p.j.tolist()))
+
+
 def _complete_tree(d, depth, J):
     """Complete d-ary tree at zero field, BFS indexed as IsingTreeModel
     does, for any d >= 1 (d = 1 is a path from site 0)."""
@@ -95,10 +102,10 @@ def _root_log_odds(d, depth, J, h):
 def test_model_indexing():
     m = IsingTreeModel(d=2, depth=2, J=0.3)
     assert m.n == 7
-    assert m.edges() == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+    assert _edges(m) == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
     m3 = IsingTreeModel(d=3, depth=1, J=0.3, h0=-0.2)
     assert m3.n == 4
-    assert m3.edges() == [(0, 1), (0, 2), (0, 3)]
+    assert _edges(m3) == [(0, 1), (0, 2), (0, 3)]
     p = m3.prior()
     assert p.n == 4 and np.all(p.J == 0.3) and np.all(p.h == -0.2)
 
@@ -140,7 +147,7 @@ def test_matches_edge_copy_process():
     for idx in range(2**m.n):
         bits = [(idx >> k) & 1 for k in range(m.n)]
         w = 0.5
-        for i, j in m.edges():
+        for i, j in _edges(m):
             w *= p if bits[i] == bits[j] else 1.0 - p
         want[idx] = w
     assert np.allclose(d.probs, want, rtol=1e-12, atol=0)
@@ -164,7 +171,7 @@ def test_tree_prior_is_affiliated():
 def test_root_ratio_against_enumeration():
     J, h = 0.3, 0.1
     m = IsingTreeModel(d=2, depth=2, J=J, h0=h)
-    want = math.log(_enumerate_ratio(m.n, m.edges(), J, h))
+    want = math.log(_enumerate_ratio(m.n, _edges(m), J, h))
     assert abs(_root_log_odds(2, 2, J, h) - want) <= 1e-12 * want
 
 
@@ -178,7 +185,7 @@ def test_nu_gibbs_frozen_value():
 def test_nu_gibbs_zero_field_identity():
     m = IsingTreeModel(d=2, depth=2, J=0.4)
     eps = 0.3
-    want = math.log(_enumerate_ratio(m.n, m.edges(), m.J, 0.5 * eps))
+    want = math.log(_enumerate_ratio(m.n, _edges(m), m.J, 0.5 * eps))
     assert abs(nu_gibbs(m, eps, 0) - want) <= 1e-12
 
 
@@ -197,7 +204,7 @@ def test_nu_gibbs_rejects_bad_budget():
 def test_nu_gibbs_huge_budget_matches_enumeration(eps):
     # The dense closed form underflows at eps = 1000; the log domain does not.
     m = IsingTreeModel(d=2, depth=1, J=0.3)
-    want = _enumerate_nu(m.n, m.edges(), [m.J] * 2, [0.0] * m.n, [eps] * m.n)
+    want = _enumerate_nu(m.n, _edges(m), [m.J] * 2, [0.0] * m.n, [eps] * m.n)
     for site in range(m.n):
         assert abs(nu_gibbs(m, eps, site) - want[site]) <= 1e-12 * want[site]
     assert abs(nu_gibbs(m, 1000.0, 0) - 1001.2) <= 1e-12 * 1001.2
@@ -269,6 +276,14 @@ def test_ising_prior_refuses_bad_arrays(n, i, j, J, h):
                    J=np.array(J, dtype=float), h=np.array(h, dtype=float))
 
 
+def test_ising_prior_refuses_fields_whose_sum_overflows():
+    # Each field is finite, but three of them sum past the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="sum"):
+            IsingTreeModel(d=2, depth=1, J=0.3, h0=1.5e308).prior()
+
+
 def test_negative_coupling_is_not_affiliated():
     with pytest.raises(NotAffiliated):
         _prior(3, [(0, 1), (1, 2)], [0.3, -0.1], [0.0] * 3)
@@ -283,6 +298,23 @@ def test_nu_tree_overflowing_field_is_a_typed_error():
     prior = _prior(2, [(0, 1)], [0.3], [1.5e308, 0.0])
     with pytest.raises(UndefinedRatio):
         nu_tree(prior, PrivacyBudget.uniform(2, 1e308))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10, 1e-14])
+def test_nu_tree_keeps_precision_at_small_fields(eps):
+    prior = _prior(2, [(0, 1)], [0.3], [0.0, 0.0])
+    want = nu_bethe_limit(0.3, eps, 0)
+    got = nu_tree(prior, PrivacyBudget.uniform(2, eps))
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_nu_tree_refuses_a_leakage_below_the_budget():
+    # Every site leaks at least its budget.  At h0 = 1e8 the field
+    # h0 + eps/2 rounds back to h0, which would read nu = 0.
+    with pytest.raises(UndefinedRatio, match="site 0"):
+        nu_gibbs(IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8), 1e-10, 0)
+    # A budget the fields can hold still answers.
+    assert nu_gibbs(IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8), 1.0, 0) == 1.0
 
 
 def test_deep_tree_sites_approach_the_bethe_limit():
@@ -424,8 +456,10 @@ def test_critical_coupling_values():
     assert abs(critical_coupling(2) - 0.5 * math.log(3.0)) <= 1e-15
     assert abs(critical_coupling(3) - 0.5 * math.log(2.0)) <= 1e-15
     assert critical_coupling(2) > critical_coupling(3) > critical_coupling(4)
+    # The dimer and the infinite path have no finite critical coupling.
+    assert critical_coupling(0) == critical_coupling(1) == math.inf
     with pytest.raises(DimensionMismatch):
-        critical_coupling(1)
+        critical_coupling(-1)
 
 
 def test_enforceable_budget():
