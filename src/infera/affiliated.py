@@ -13,7 +13,6 @@ and the parameter is max(nu_0, nu_1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,29 +59,21 @@ def nu_closed_form(
     dist: JointDistribution,
     budget: PrivacyBudget,
     a: int,
-    force: bool = False,
 ) -> ClosedFormResult:
     """Evaluate both branches and return the larger one.
 
     Raises NotAffiliated (with a witness pair) when the prior fails the
-    affiliation check, unless force is set, in which case the formula is
-    evaluated anyway and a warning records that its value is only an
-    upper-bound-free heuristic on such priors.  Ties report z = 0.
+    affiliation check: off that family the biased-profile value
+    (`nu_of_max_biased`) can understate the leakage.  Ties report z = 0.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("closed form requires binary coordinates")
     check_coordinate(dist.n, a)
     affiliated, witness = is_positively_affiliated(dist)
     if not affiliated:
-        if not force:
-            raise NotAffiliated(
-                f"prior is not positively affiliated; witness {witness}",
-                witness=witness,
-            )
-        warnings.warn(
-            "evaluating the biased-mechanism formula on a non-affiliated "
-            "prior; the result is not the exact inference parameter",
-            stacklevel=2,
+        raise NotAffiliated(
+            f"prior is not positively affiliated; witness {witness}",
+            witness=witness,
         )
     branches = []
     for z in (0, 1):

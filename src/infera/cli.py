@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 on a negative finding (failed check,
 non-affiliated prior for the closed form, unreachable target), 2 on any
-error.  Reports repeat the command line, digest the input files, and are
-rendered with 12 significant digits; identical invocations produce
-byte-identical result sections.
+error.  `main` writes each command's JSON report: it repeats the command
+line, digests the input file, and renders results with 12 significant
+digits, so identical invocations produce byte-identical result sections.
+`ising sweep` prints CSV rows instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -76,20 +76,6 @@ def _digest(path: str) -> Optional[str]:
         return None
 
 
-def _emit(report: dict, args, t0: float) -> None:
-    report = dict(report)
-    report["results"] = _sig(report.get("results", {}))
-    report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
-    if args.format == "csv":
-        lines = ["key,value"]
-        for key, value in sorted(report["results"].items()):
-            lines.append(f"{key},{json.dumps(value)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write(text, args)
-
-
 def _write(text: str, args) -> None:
     """Write text to --out, or to stdout without one."""
     if args.out:
@@ -97,15 +83,6 @@ def _write(text: str, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _base_report(args, inputs: dict) -> dict:
-    return {
-        "command": " ".join(args._argv),
-        "inputs": _sig(inputs),
-        "results": {},
-        "warnings": [],
-    }
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
@@ -129,16 +106,21 @@ def _parse_eps(text: str, n: int) -> PrivacyBudget:
     return PrivacyBudget(np.asarray(parts))
 
 
+def _positive(text: str, source: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {source} value {text!r}") from exc
+    if value < 1:
+        raise ParseError(f"{source} must be a positive integer, got {text}")
+    return value
+
+
 def _cap(args) -> int:
-    if args.cap:
-        return args.cap
+    if args.cap is not None:
+        return _positive(args.cap, "--cap")
     env = os.environ.get("INFERA_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"bad INFERA_CAP value {env!r}") from exc
-    return DEFAULT_CAP
+    return _positive(env, "INFERA_CAP") if env else DEFAULT_CAP
 
 
 def _dense(prior, args) -> JointDistribution:
@@ -153,10 +135,8 @@ def _tree_nu(prior, budget: PrivacyBudget, target: int) -> float:
     return float(nu_tree(prior, budget)[target])
 
 
-def cmd_check(args) -> int:
-    t0 = time.time()
+def cmd_check(args, report: dict) -> int:
     dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     failed = False
     what = args.what
@@ -170,15 +150,12 @@ def cmd_check(args) -> int:
         ok = is_pairwise_positively_correlated(dist)
         results["pairwise_positive"] = ok
         failed = failed or not ok
-    _emit(report, args, t0)
     return EXIT_FINDING if failed else EXIT_OK
 
 
-def cmd_nu(args) -> int:
-    t0 = time.time()
+def cmd_nu(args, report: dict) -> int:
     prior = load_distribution(args.dist, cap=_cap(args))
     budget = _parse_eps(args.eps, prior.n)
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     results["n"] = prior.n
     results["target"] = args.target
@@ -199,20 +176,12 @@ def cmd_nu(args) -> int:
             results["witness_file"] = args.witness_out
     elif args.method == "closed-form":
         try:
-            with warnings.catch_warnings():
-                # The report's warnings list already records the force path.
-                warnings.simplefilter("ignore")
-                res = nu_closed_form(_dense(prior, args), budget, args.target, force=args.force)
+            res = nu_closed_form(_dense(prior, args), budget, args.target)
         except NotAffiliated as exc:
             results["nu"] = None
             results["not_affiliated_witness"] = [list(w) for w in exc.witness]
             report["warnings"].append(str(exc))
-            _emit(report, args, t0)
             return EXIT_FINDING
-        if args.force:
-            report["warnings"].append(
-                "closed form evaluated under --force; only exact for affiliated priors"
-            )
         results["nu"] = res.nu
         results["winning_z"] = res.winning_z
         results["numerator"] = res.numerator
@@ -236,15 +205,12 @@ def cmd_nu(args) -> int:
             report["warnings"].append(
                 f"methods disagree by {spread:.3e}, beyond 1e-6"
             )
-    _emit(report, args, t0)
     return EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    t0 = time.time()
+def cmd_bound(args, report: dict) -> int:
     dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
     budget = _parse_eps(args.eps, dist.n)
-    report = _base_report(args, {"dist": args.dist, "digest": _digest(args.dist)})
     results = report["results"]
     matrix = influence_matrix(dist)
     results["gamma"] = [
@@ -254,28 +220,22 @@ def cmd_bound(args) -> int:
         report["warnings"].append(
             "influence matrix has unbounded entries; no bound applies"
         )
-        _emit(report, args, t0)
         return EXIT_OK
     results["spectral_norm"] = spectral_norm(matrix.gamma)
     try:
         bound = dobrushin_bounds(matrix, budget)
     except SpectralNormTooLarge as exc:
         report["warnings"].append(str(exc))
-        _emit(report, args, t0)
         return EXIT_OK
     results["nu_bound"] = list(bound.nu_bound)
     results["delta"] = bound.delta
     if bound.nu_delta_bound is not None:
         results["nu_delta_bound"] = list(bound.nu_delta_bound)
-    _emit(report, args, t0)
     return EXIT_OK
 
 
-def cmd_ising(args) -> int:
-    t0 = time.time()
-    report = _base_report(args, {})
+def cmd_ising(args, report: dict) -> int:
     results = report["results"]
-    code = EXIT_OK
     if args.ising_cmd == "nu-limit":
         results["nu"] = nu_bethe_limit(args.J, args.eps, args.d)
         results["fixed_point"] = bethe_fixed_point(args.J, 0.5 * args.eps, args.d).x
@@ -288,36 +248,38 @@ def cmd_ising(args) -> int:
             report["warnings"].append(
                 "target is below the supercritical inference floor"
             )
-            code = EXIT_FINDING
-    elif args.ising_cmd == "sensitivity":
+            return EXIT_FINDING
+    else:  # sensitivity
         eps_list = _parse_floats(args.eps_list, "--eps-list")
         rows = sensitivity_profile(args.J, args.h0, args.d, eps_list)
         results["profile"] = [{"eps": e, "nu": v} for e, v in rows]
-    else:  # sweep
-        eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
-        j_grid = _parse_floats(args.J_grid, "--J-grid")
-        lines = ["eps,J,h0,d,nu,backend"]
-        for J in j_grid:
-            for eps in eps_grid:
-                if args.h0 == 0.0:  # an interior site
-                    nu, backend = nu_bethe_limit(J, eps, args.d), "bethe-limit"
-                else:  # the root
-                    ((_, nu),) = sensitivity_profile(J, args.h0, args.d, [eps])
-                    backend = "bethe-sensitivity"
-                lines.append(f"{eps:.12g},{J:.12g},{args.h0:.12g},{args.d},{nu:.12g},{backend}")
-        _write("\n".join(lines) + "\n", args)
-        return EXIT_OK
-    _emit(report, args, t0)
-    return code
+    return EXIT_OK
 
 
-def _add_common(parser, cap: bool = False) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def cmd_sweep(args) -> int:
+    """Write the CSV rows of `ising sweep`; it has no JSON report."""
+    eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
+    j_grid = _parse_floats(args.J_grid, "--J-grid")
+    lines = ["eps,J,h0,d,nu,backend"]
+    for J in j_grid:
+        for eps in eps_grid:
+            if args.h0 == 0.0:  # an interior site
+                nu, backend = nu_bethe_limit(J, eps, args.d), "bethe-limit"
+            else:  # the root
+                ((_, nu),) = sensitivity_profile(J, args.h0, args.d, [eps])
+                backend = "bethe-sensitivity"
+            lines.append(f"{eps:.12g},{J:.12g},{args.h0:.12g},{args.d},{nu:.12g},{backend}")
+    _write("\n".join(lines) + "\n", args)
+    return EXIT_OK
+
+
+def _add_common(parser, func, cap: bool = False) -> None:
     parser.add_argument("--out", default=None, help="write the report here")
     if cap:
-        parser.add_argument("--cap", type=int, default=None,
+        parser.add_argument("--cap", default=None,
                             help="size cap of the loaded prior: cells of a dense prior, "
-                            "sites of an ising_tree prior (also INFERA_CAP)")
+                            "sites of an ising_tree prior, a positive integer (also INFERA_CAP)")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="structure checks on a prior")
     p.add_argument("--dist", required=True)
     p.add_argument("--what", choices=("affiliation", "pairwise", "both"), default="both")
-    _add_common(p, cap=True)
-    p.set_defaults(func=cmd_check)
+    _add_common(p, cmd_check, cap=True)
 
     p = sub.add_parser("nu", help="inference parameter of one coordinate")
     p.add_argument("--dist", required=True)
@@ -340,18 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=0, help="coordinate index")
     p.add_argument("--method", choices=("exact", "closed-form", "gibbs", "all"),
                    default="exact")
-    p.add_argument("--force", action="store_true",
-                   help="evaluate the closed form on non-affiliated priors")
     p.add_argument("--witness-out", default=None, help="export the LP witness")
     p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
-    _add_common(p, cap=True)
-    p.set_defaults(func=cmd_nu)
+    _add_common(p, cmd_nu, cap=True)
 
     p = sub.add_parser("bound", help="influence-matrix bounds")
     p.add_argument("--dist", required=True)
     p.add_argument("--eps", required=True)
-    _add_common(p, cap=True)
-    p.set_defaults(func=cmd_bound)
+    _add_common(p, cmd_bound, cap=True)
 
     p = sub.add_parser("ising", help="deep-tree analysis")
     isub = p.add_subparsers(dest="ising_cmd", required=True)
@@ -360,24 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--J", type=float, required=True)
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
-    _add_common(q)
+    _add_common(q, cmd_ising)
 
     q = isub.add_parser("critical")
     q.add_argument("--d", type=int, required=True)
-    _add_common(q)
+    _add_common(q, cmd_ising)
 
     q = isub.add_parser("enforce")
     q.add_argument("--nu", type=float, required=True, help="target leakage")
     q.add_argument("--J", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
-    _add_common(q)
+    _add_common(q, cmd_ising)
 
     q = isub.add_parser("sensitivity", help="leakage of the root, which has d neighbours")
     q.add_argument("--J", type=float, required=True)
     q.add_argument("--h0", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--eps-list", required=True, help="comma-separated budgets")
-    _add_common(q)
+    _add_common(q, cmd_ising)
 
     text = ("CSV of deep-tree leakage: of an interior site (nu-limit) at h0 = 0, of the "
             "root (sensitivity) otherwise; at J=0.3, eps=0.5, d=2 these are 1.366 and 1.077")
@@ -387,17 +344,33 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--h0", type=float, default=0.0)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--out", default=None, help="write the CSV here")
-    p.set_defaults(func=cmd_ising)
+    q.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    """Parse the arguments, run the command and write its JSON report once:
+    the command line, the input file and its digest, the command's
+    results and warnings, and the time it took."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        if args.func is cmd_sweep:
+            return cmd_sweep(args)
+        path = getattr(args, "dist", None)
+        report = {
+            "command": " ".join(argv),
+            "inputs": {} if path is None else {"dist": path, "digest": _digest(path)},
+            "results": {},
+            "warnings": [],
+        }
+        code = args.func(args, report)
+        report["results"] = _sig(report["results"])
+        report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args)
+        return code
     except (InferaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
     except Exception as exc:

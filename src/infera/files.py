@@ -1,4 +1,4 @@
-"""JSON interchange for priors and mechanisms.
+"""JSON interchange for priors and mechanism witnesses.
 
 Distribution files carry either dense probabilities
 
@@ -13,24 +13,21 @@ Each file loads as one prior: an IsingPrior for ising_tree, whose dense
 form the caller builds only where it needs the cells, and a
 JointDistribution otherwise.
 
-Mechanisms use {"kind": "profile", "n": ..., "alphabet": ..., "m": [...]},
-{"kind": "table", "n": ..., "alphabet": ..., "table": [[...]]} or
-{"kind": "max_biased", "z": 0|1}, the last needing a budget to
-materialize.  Field names are part of the CLI contract.
+The witness that `infera nu --witness-out` writes is
+{"kind": "profile", "n": ..., "alphabet": ..., "m": [...]}, one tail
+probability per cell.  Field names are part of the CLI contract.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
-
-import numpy as np
+from typing import Union
 
 from . import dist as dist_mod
 from .dist import DEFAULT_CAP, JointDistribution
 from .errors import ParseError, SizeCap
 from .ising import IsingPrior, IsingTreeModel
-from .mechanism import EventProfile, OutcomeTable, PrivacyBudget, max_biased_profile
+from .mechanism import EventProfile
 
 
 def load_distribution(path: str, cap: int = DEFAULT_CAP) -> Union[JointDistribution, IsingPrior]:
@@ -81,39 +78,6 @@ def distribution_from_obj(
         source = "distribution object" if name is None else f"generator {name}"
         raise ParseError(f"{source} missing field {exc}") from exc
     raise ParseError(f"unknown generator {name!r}")
-
-
-def load_mechanism(
-    path: str,
-    n: int,
-    alphabet: int,
-    budget: Optional[PrivacyBudget] = None,
-) -> Union[EventProfile, OutcomeTable]:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read mechanism file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError("mechanism file must hold an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "profile":
-        return EventProfile(
-            n=int(obj.get("n", n)),
-            alphabet_size=int(obj.get("alphabet", alphabet)),
-            values=np.asarray(obj["m"], dtype=np.float64),
-        )
-    if kind == "table":
-        return OutcomeTable(
-            n=int(obj.get("n", n)),
-            alphabet_size=int(obj.get("alphabet", alphabet)),
-            table=np.asarray(obj["table"], dtype=np.float64),
-        )
-    if kind == "max_biased":
-        if budget is None:
-            raise ParseError("max_biased mechanism needs a budget (--eps)")
-        return max_biased_profile(n, budget, int(obj["z"]))
-    raise ParseError(f"unknown mechanism kind {kind!r}")
 
 
 def profile_to_obj(profile: EventProfile) -> dict:

@@ -54,9 +54,11 @@ from .errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
 
 
-# 2^-52: a leakage shortfall this small moves the odds factor e^nu by
-# about an ulp.
-_ULP = float(np.finfo(float).eps)
+# `nu_tree` answers when the rounding bound of a site's nu is within 1e-6
+# of it, or within 1e-12 absolute, which moves the odds factor e^nu by
+# no more than 1e-12.
+_REL_TOL = 1e-6
+_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +121,15 @@ class IsingPrior:
             energy += np.where(digits[:, a] == digits[:, b], c, -c)
         # A gap past the float range gives weight 0.
         with np.errstate(over="ignore"):
-            return from_dense(n, 2, np.exp(energy - energy.max()), cap=cap)
+            weights = np.exp(energy - energy.max())
+        if not np.all(weights > 0.0):
+            # Finite fields give every cell positive mass.
+            k = int(np.argmin(weights))
+            raise UndefinedRatio(
+                f"cell {k} of the Ising prior underflows to weight 0: its energy lies "
+                f"{energy.max() - energy[k]:.6g} below the largest, past the float range"
+            )
+        return from_dense(n, 2, weights, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -196,12 +206,11 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
 
     Every site leaks at least its own budget, nu_a >= eps_a.  Raises
     DimensionMismatch when the edges hold a cycle or the budget has the
-    wrong length, and UndefinedRatio when a field overflows or a site's
-    nu falls short of its budget by more than the rounding of its fields
-    (a few ulps of |h_a| + eps_a/2 + the couplings at a, per term summed)
-    or by more than half, as when a large field swallows the budget.
-    Shortfalls under 2^-52 pass: they move the odds factor e^nu by about
-    an ulp.
+    wrong length, and UndefinedRatio when a field overflows or the
+    rounding of a site's fields (a few ulps of |h_a| + eps_a/2 + the
+    couplings at a, per term summed) is not small next to its nu, as
+    when a large field swallows the budget.  "Small" is 1e-6 relative or
+    1e-12 absolute.
     """
     n = prior.n
     if budget.n != n:
@@ -247,18 +256,17 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     if not np.all(np.isfinite(nu)):
         a = int(np.flatnonzero(~np.isfinite(nu))[0])
         raise UndefinedRatio(f"effective field at site {a} overflows a float")
-    short = budget.eps - nu
-    if np.any(short > _ULP):
-        # Each term summed into a site's field rounds once.
-        load = np.abs(prior.h) + half + np.bincount(ends, np.tile(prior.J, 2), minlength=n)
-        noise = 8.0 * (np.bincount(ends, minlength=n) + 1) * np.spacing(load)
-        bad = np.flatnonzero(short > np.maximum(np.minimum(noise, half), _ULP))
-        if bad.size:
-            a = int(bad[0])
-            raise UndefinedRatio(
-                f"site {a} leaks {nu[a]:.6g}, below its budget {budget.eps[a]:.6g}: "
-                f"its fields (|h| + eps/2 + J up to {load[a]:.6g}) round the budget away"
-            )
+    # Each term summed into a site's field rounds once, so nu_a carries
+    # an error of a few ulps of everything summed there.
+    load = np.abs(prior.h) + half + np.bincount(ends, np.concatenate([prior.J, prior.J]), n)
+    noise = 8.0 * (np.bincount(ends, minlength=n) + 1) * np.spacing(load)
+    bad = np.flatnonzero(noise > np.maximum(_REL_TOL * nu, _ABS_TOL))
+    if bad.size:
+        a = int(bad[0])
+        raise UndefinedRatio(
+            f"site {a} leaks {nu[a]:.6g} at budget {budget.eps[a]:.6g}, but its fields "
+            f"(|h| + eps/2 + J up to {load[a]:.6g}) round it by up to {noise[a]:.3g}"
+        )
     return nu
 
 

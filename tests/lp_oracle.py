@@ -1,6 +1,6 @@
 """Independent brute-force references for the exact inference parameter.
 
-These were written before the simplex path and share no code with it.
+They share no code with the solver: each reads only `dist.probs`.
 Two routes:
 
 * vertex enumeration (n <= 3): the objective is a ratio of linear forms,
@@ -19,25 +19,23 @@ import math
 
 import numpy as np
 
-from infera.dist import JointDistribution, conditional_slice
+from infera.dist import JointDistribution
 
 
 def _direction_vectors(dist: JointDistribution, a: int, z0: int, z1: int):
-    """Objective and normalization rows over the full profile space."""
+    """Objective and normalization rows over the full profile space: the
+    prior conditioned on x_a = z1 and on x_a = z0, cell by cell."""
     size = 2**dist.n
     c = np.zeros(size)
     d = np.zeros(size)
-    sl0 = conditional_slice(dist, a, z0)
-    sl1 = conditional_slice(dist, a, z1)
     for idx in range(size):
-        bits = [(idx >> k) & 1 for k in range(dist.n)]
-        rest = bits[:a] + bits[a + 1 :]
-        ridx = sum(b << k for k, b in enumerate(rest))
-        if bits[a] == z1:
-            c[idx] = sl1.dist.probs[ridx]
-        if bits[a] == z0:
-            d[idx] = sl0.dist.probs[ridx]
-    return c, d
+        bit = (idx >> a) & 1
+        if bit == z1:
+            c[idx] = dist.probs[idx]
+        if bit == z0:
+            d[idx] = dist.probs[idx]
+    assert c.sum() > 0.0 and d.sum() > 0.0, "target value without support"
+    return c / c.sum(), d / d.sum()
 
 
 def _ratio_rows(n: int, eps: np.ndarray):

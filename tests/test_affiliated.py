@@ -83,23 +83,6 @@ def test_rejects_non_affiliated():
         assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
 
 
-def test_force_bypasses_check_with_warning():
-    d = parity_constrained(2, 2)
-    b = PrivacyBudget.uniform(5, 0.2)
-    with pytest.warns(UserWarning):
-        res = nu_closed_form(d, b, 0, force=True)
-    # Off the affiliated family the formula is only the biased-profile
-    # value, and the summary mechanism strictly beats it here.
-    nu_m1 = mechanism_nu(d, _parity_summary_profile(0.2), 0)
-    assert res.nu < nu_m1
-
-
-def _parity_summary_profile(eps):
-    from infera.mechanism import parity_mechanism_m1_profile
-
-    return parity_mechanism_m1_profile(2, 2, eps)
-
-
 def test_closed_form_equals_biased_profile_leakage():
     rng = np.random.default_rng(42)
     for _ in range(10):

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infera.cli import main
-from infera.files import distribution_from_obj, load_mechanism
+from infera.files import distribution_from_obj
 from infera.ising import IsingPrior, IsingTreeModel, nu_tree
-from infera.mechanism import PrivacyBudget, dp_audit, mechanism_nu
+from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from infera.dist import JointDistribution, parity_constrained
 
 
@@ -120,15 +120,12 @@ def test_nu_closed_form_refuses_parity(write_json, capsys):
     assert report["warnings"]
 
 
-def test_nu_closed_form_forced(write_json, capsys):
+def test_closed_form_has_no_force_option(write_json, capsys):
     path = write_json("parity.json", PARITY)
-    code, report = _run(
-        capsys,
-        ["nu", "--dist", path, "--eps", "0.2", "--method", "closed-form", "--force"],
-    )
-    assert code == 0
-    assert isinstance(report["results"]["nu"], float)
-    assert any("--force" in w for w in report["warnings"])
+    with pytest.raises(SystemExit) as exc:
+        main(["nu", "--dist", path, "--eps", "0.2", "--method", "closed-form", "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_nu_witness_round_trip(write_json, capsys, tmp_path):
@@ -140,7 +137,10 @@ def test_nu_witness_round_trip(write_json, capsys, tmp_path):
     )
     assert code == 0
     nu = report["results"]["nu"]
-    prof = load_mechanism(wpath, 5, 2)
+    with open(wpath) as fh:
+        obj = json.load(fh)
+    assert (obj["kind"], obj["n"], obj["alphabet"]) == ("profile", 5, 2)
+    prof = EventProfile(n=5, alphabet_size=2, values=np.asarray(obj["m"]))
     assert np.all(dp_audit(prof).eps <= 0.2 + 1e-7)
     d = parity_constrained(2, 2)
     assert abs(mechanism_nu(d, prof, 0) - nu) <= 1e-7
@@ -360,12 +360,46 @@ def test_cap_env_variable(write_json, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["--cap", "0"], None), (["--cap", "-3"], None), ([], "0"),
+], ids=["cap-0", "cap-negative", "env-0"])
+def test_cap_must_be_positive(write_json, capsys, monkeypatch, argv, env):
+    path = write_json("tree.json", TREE)
+    if env is not None:
+        monkeypatch.setenv("INFERA_CAP", env)
+    code = main(["check", "--dist", path] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["bound", "--eps", "1"],
+    ["nu", "--eps", "1", "--method", "exact"],
+    ["nu", "--eps", "1", "--method", "closed-form"],
+], ids=["check", "bound", "exact", "closed-form"])
+def test_dense_methods_refuse_an_underflowed_tree(write_json, capsys, argv):
+    # At h0 = 1e17 seven of the eight cells underflow to weight 0,
+    # though every cell of an Ising prior has positive mass.
+    path = write_json("tree.json", {"generator": "ising_tree",
+                                    "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1e17}})
+    code = main(argv[:1] + ["--dist", path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "underflows" in captured.err
+
+
 def test_csv_format_and_out_file(write_json, capsys, tmp_path):
+    # Reports are JSON only: --format is not an option.
     path = write_json("product.json", PRODUCT)
-    code = main(["check", "--dist", path, "--format", "csv"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.splitlines()[0] == "key,value"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--dist", path, "--format", "csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
     target = str(tmp_path / "report.json")
     code = main(["check", "--dist", path, "--out", target])

@@ -317,6 +317,20 @@ def test_nu_tree_refuses_a_leakage_below_the_budget():
     assert nu_gibbs(IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8), 1.0, 0) == 1.0
 
 
+@pytest.mark.parametrize("eps", [1e-7, 3e-7, 1e-6])
+def test_nu_tree_refuses_a_budget_its_fields_round(eps):
+    # At h0 = 1e8, where floats are 1.5e-8 apart, h0 + eps/2 rounds
+    # enough to read 8.94e-8 at eps = 1e-7 and 1.0133e-6 at eps = 1e-6;
+    # the saturated leaves pass nothing back, so the true leakage is eps.
+    model = IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8)
+    try:
+        nu = nu_gibbs(model, eps, 0)
+    except UndefinedRatio as exc:
+        assert "site " in str(exc)
+    else:
+        assert abs(nu - eps) <= 1e-9 * eps
+
+
 def test_deep_tree_sites_approach_the_bethe_limit():
     # J = 0.3 is below atanh(1/d) for d = 1, 2; the first site halfway
     # down a complete tree sees ever more of the infinite tree as it
