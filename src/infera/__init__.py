@@ -2,9 +2,8 @@
 under correlated priors."""
 
 from .dist import (
-    ConditionalSlice,
     JointDistribution,
-    conditional_slice,
+    conditional_means,
     from_dense,
     is_pairwise_positively_correlated,
     is_positively_affiliated,
@@ -14,7 +13,6 @@ from .dist import (
 )
 from .mechanism import (
     EventProfile,
-    OutcomeTable,
     PrivacyBudget,
     dp_audit,
     max_biased_profile,

@@ -20,12 +20,12 @@ import numpy as np
 from .dist import (
     JointDistribution,
     check_coordinate,
-    conditional_mean,
+    conditional_means,
     digit_table,
     from_dense,
     is_positively_affiliated,
 )
-from .errors import NotAffiliated, UndefinedRatio, UnsupportedAlphabet
+from .errors import InsufficientSupport, NotAffiliated, UndefinedRatio, UnsupportedAlphabet
 from .mechanism import PrivacyBudget, max_biased_values
 
 
@@ -45,8 +45,11 @@ def _branch(dist: JointDistribution, budget: PrivacyBudget, a: int, z: int):
     Both are positive in exact arithmetic; raises UndefinedRatio when the
     budget is large enough that one underflows to 0.
     """
-    m = max_biased_values(dist.n, budget, z)
-    num, den = conditional_mean(dist, m, a, z), conditional_mean(dist, m, a, 1 - z)
+    masses, means = conditional_means(dist, max_biased_values(dist.n, budget, z), a)
+    for v in (z, 1 - z):
+        if masses[v] == 0.0:
+            raise InsufficientSupport(f"Pr(x_{a} = {v}) = 0")
+    num, den = means[z], means[1 - z]
     if num == 0.0 or den == 0.0:
         raise UndefinedRatio(
             f"the {z}-biased branch at x_{a} has conditional means {num} / {den}; "

@@ -28,7 +28,8 @@ from .dist import (
     is_pairwise_positively_correlated,
     is_positively_affiliated,
 )
-from .errors import InferaError, NotAffiliated, ParseError, SpectralNormTooLarge
+from .errors import (InferaError, NotAffiliated, ParseError, SpectralNormTooLarge,
+                     UnsupportedAlphabet)
 from .files import load_distribution, save_mechanism
 from .influence import dobrushin_bounds, influence_matrix, spectral_norm
 from .ising import (
@@ -156,6 +157,7 @@ def cmd_check(args, report: dict) -> int:
 def cmd_nu(args, report: dict) -> int:
     prior = load_distribution(args.dist, cap=_cap(args))
     budget = _parse_eps(args.eps, prior.n)
+    lp_cap = _positive(args.lp_cap, "--lp-cap")
     results = report["results"]
     results["n"] = prior.n
     results["target"] = args.target
@@ -163,7 +165,7 @@ def cmd_nu(args, report: dict) -> int:
     if args.method == "gibbs":
         results["nu"] = _tree_nu(prior, budget, args.target)
     elif args.method == "exact":
-        cert = nu_exact(_dense(prior, args), budget, args.target, cap=args.lp_cap)
+        cert = nu_exact(_dense(prior, args), budget, args.target, cap=lp_cap)
         results["nu"] = cert.nu
         results["nu_upper"] = cert.nu_upper
         results["direction"] = list(cert.direction)
@@ -189,11 +191,11 @@ def cmd_nu(args, report: dict) -> int:
     else:  # all
         dist = _dense(prior, args)
         values = {}
-        cert = nu_exact(dist, budget, args.target, cap=args.lp_cap)
+        cert = nu_exact(dist, budget, args.target, cap=lp_cap)
         values["exact"] = cert.nu
         try:
             values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
-        except NotAffiliated as exc:
+        except (NotAffiliated, UnsupportedAlphabet) as exc:
             report["warnings"].append(f"closed form skipped: {exc}")
         if isinstance(prior, IsingPrior):
             values["gibbs"] = _tree_nu(prior, budget, args.target)
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "closed-form", "gibbs", "all"),
                    default="exact")
     p.add_argument("--witness-out", default=None, help="export the LP witness")
-    p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
+    p.add_argument("--lp-cap", default=str(DEFAULT_LP_CAP),
+                   help="LP size cap: at most 2**(LP_CAP - 1) variables, a positive integer")
     _add_common(p, cmd_nu, cap=True)
 
     p = sub.add_parser("bound", help="influence-matrix bounds")

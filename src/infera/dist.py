@@ -6,7 +6,7 @@ indexed little-endian: index(x) = sum_i x_i * alphabet_size**i, so
 coordinate 0 is the least significant digit.
 
 This module is the one place that maps cells to digits.  Everything else
-goes through digit_table, cell_tensor and fix_coordinate.
+goes through digit_table, cell_tensor and faces.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InsufficientSupport,
     NegativeProbability,
     SizeCap,
     UnsupportedAlphabet,
@@ -56,14 +55,14 @@ def check_coordinate(n: int, a: int) -> None:
         raise DimensionMismatch(f"coordinate {a} out of range for n={n}")
 
 
-def fix_coordinate(flat: np.ndarray, n: int, alphabet_size: int, a: int, z: int) -> np.ndarray:
-    """Entries of flat with x_a = z, flattened little-endian over the
-    remaining n - 1 coordinates in their original order."""
+def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
+    """(alphabet_size, alphabet_size**(n - 1)) array of flat split along
+    coordinate a: row z holds the cells with x_a = z, little-endian over
+    the remaining coordinates in their original order."""
     check_coordinate(n, a)
-    if not 0 <= z < alphabet_size:
-        raise DimensionMismatch(f"value {z} outside alphabet")
-    block = np.take(cell_tensor(flat, n, alphabet_size), z, axis=a)
-    return block.reshape(-1, order="F")
+    return np.moveaxis(cell_tensor(flat, n, alphabet_size), a, 0).reshape(
+        alphabet_size, -1, order="F"
+    )
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,6 @@ class JointDistribution:
         check_coordinate(self.n, i)
         axes = tuple(k for k in range(self.n) if k != i)
         return cell_tensor(self.probs, self.n, self.alphabet_size).sum(axis=axes)
-
-
-@dataclass(frozen=True)
-class ConditionalSlice:
-    """Conditional law of x_{-a} given x_a = value, with the event mass.
-
-    The slice keeps the remaining coordinates in their original order,
-    re-indexed little-endian over n - 1 digits.
-    """
-
-    target: int
-    value: int
-    mass: float
-    dist: JointDistribution
 
 
 def from_dense(
@@ -192,25 +177,17 @@ def parity_constrained(r: int, s: int, cap: int = DEFAULT_CAP) -> JointDistribut
     return from_dense(n, 2, ok.astype(np.float64), cap=cap)
 
 
-def conditional_slice(dist: JointDistribution, a: int, z: int) -> ConditionalSlice:
-    """Condition on x_a = z and drop coordinate a.
-
-    Raises InsufficientSupport when Pr(x_a = z) = 0.
-    """
-    block = fix_coordinate(dist.probs, dist.n, dist.alphabet_size, a, z)
-    mass = math.fsum(block.tolist())
-    if mass <= 0.0:
-        raise InsufficientSupport(f"Pr(x_{a} = {z}) = 0")
-    inner = JointDistribution(n=dist.n - 1, alphabet_size=dist.alphabet_size, probs=block / mass)
-    return ConditionalSlice(target=a, value=z, mass=mass, dist=inner)
-
-
-def conditional_mean(dist: JointDistribution, values: np.ndarray, a: int, z: int) -> float:
-    """E[values | x_a = z] for a flat vector of cell values; raises
-    InsufficientSupport when Pr(x_a = z) = 0."""
-    sl = conditional_slice(dist, a, z)
-    vz = fix_coordinate(values, dist.n, dist.alphabet_size, a, z)
-    return math.fsum((sl.dist.probs * vz).tolist())
+def conditional_means(dist: JointDistribution, values: np.ndarray, a: int):
+    """(masses, means): Pr(x_a = z) and E[values | x_a = z] for every
+    value z of coordinate a, values being a flat vector of cell values.
+    The mean of a face of mass 0 is nan."""
+    masses, means = [], []
+    for face, vface in zip(faces(dist.probs, dist.n, dist.alphabet_size, a),
+                           faces(values, dist.n, dist.alphabet_size, a)):
+        mass = math.fsum(face.tolist())
+        masses.append(mass)
+        means.append(math.fsum(((face / mass) * vface).tolist()) if mass > 0.0 else math.nan)
+    return masses, means
 
 
 # Pairs of supported cells the full lattice check may compare.  It runs

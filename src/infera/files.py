@@ -74,9 +74,11 @@ def distribution_from_obj(
                 raise SizeCap(f"ising_tree with d={model.d} and depth {model.depth} "
                               f"has more sites than the cap of {cap}")
             return model.prior()
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         source = "distribution object" if name is None else f"generator {name}"
-        raise ParseError(f"{source} missing field {exc}") from exc
+        if isinstance(exc, KeyError):
+            raise ParseError(f"{source} missing field {exc}") from exc
+        raise ParseError(f"{source} has a malformed field: {exc}") from exc
     raise ParseError(f"unknown generator {name!r}")
 
 

@@ -204,13 +204,13 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     reverse and completes each site's effective field from its
     parent's.  O(n) work in as many numpy rounds as the forest is high.
 
-    Every site leaks at least its own budget, nu_a >= eps_a.  Raises
-    DimensionMismatch when the edges hold a cycle or the budget has the
-    wrong length, and UndefinedRatio when a field overflows or the
-    rounding of a site's fields (a few ulps of |h_a| + eps_a/2 + the
-    couplings at a, per term summed) is not small next to its nu, as
-    when a large field swallows the budget.  "Small" is 1e-6 relative or
-    1e-12 absolute.
+    Every site leaks at least its own budget, so nu_a is floored at
+    eps_a.  Raises DimensionMismatch when the edges hold a cycle or the
+    budget has the wrong length, and UndefinedRatio when a field
+    overflows or the rounding of a site's fields (a few ulps of |h_a| +
+    eps_a/2 + the couplings at a, per term summed) is not small next to
+    its nu, as when a large field swallows the budget.  "Small" is 1e-6
+    relative or 1e-12 absolute.
     """
     n = prior.n
     if budget.n != n:
@@ -267,7 +267,9 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
             f"site {a} leaks {nu[a]:.6g} at budget {budget.eps[a]:.6g}, but its fields "
             f"(|h| + eps/2 + J up to {load[a]:.6g}) round it by up to {noise[a]:.3g}"
         )
-    return nu
+    # Within that rounding nu_a can land a hair below eps_a, which every
+    # prior leaks through a profile that depends on x_a alone.
+    return np.maximum(nu, budget.eps)
 
 
 def nu_gibbs(model: IsingTreeModel, eps: float, site: int) -> float:

@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, conditional_slice, fix_coordinate
+from .dist import JointDistribution, cell_tensor, faces
 from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 
@@ -78,8 +78,9 @@ def _ratio_rows(n: int, alph: int, gains: np.ndarray):
     arrays: one row per coordinate and ordered pair of its values."""
     cells = np.arange(alph**n)
     rows = [
-        (fix_coordinate(cells, n, alph, i, u), fix_coordinate(cells, n, alph, i, v), gains[i])
+        (face[u], face[v], gains[i])
         for i in range(n)
+        for face in (faces(cells, n, alph, i),)
         for u in range(alph)
         for v in range(alph)
         if u != v
@@ -271,12 +272,15 @@ def nu_exact(
     best = None
     nu_upper = -math.inf
     per_direction: Dict[Tuple[int, int], float] = {}
+    # The prior given x_a = z, for every supported z.
+    cond = {z: face / math.fsum(face.tolist())
+            for z, face in enumerate(faces(dist.probs, n, alph, a)) if z in supported}
     for z0 in supported:
-        e = conditional_slice(dist, a, z0).dist.probs
+        e = cond[z0]
         for z1 in supported:
             if z0 == z1:
                 continue
-            c = conditional_slice(dist, a, z1).dist.probs
+            c = cond[z1]
             lower, upper, w, iters = _certify(c, e, rows, eps, alph)
             if not upper - lower <= _DIRECTION_GAP:
                 raise LPError(
@@ -290,8 +294,8 @@ def nu_exact(
                 best = (value, (z0, z1), w)
 
     _, direction, w = best
-    faces = [w + (eps_a if v == direction[1] else 0.0) for v in range(alph)]
-    logm = np.stack([cell_tensor(f, n - 1, alph) for f in faces], axis=a).reshape(-1, order="F")
+    layers = [w + (eps_a if v == direction[1] else 0.0) for v in range(alph)]
+    logm = np.stack([cell_tensor(f, n - 1, alph) for f in layers], axis=a).reshape(-1, order="F")
     values = np.exp(logm - logm.max())
     if values.min() <= 0.0:
         raise LPError("witness entries underflow: the budget spans more than e^745")

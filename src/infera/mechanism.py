@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, conditional_mean, digit_table
+from .dist import JointDistribution, conditional_means, digit_table, faces
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 
@@ -71,32 +71,6 @@ class EventProfile:
             raise NegativeProbability("profile entries must be at most 1")
         object.__setattr__(self, "values", np.minimum(v, 1.0))
         self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Full finite-outcome mechanism: table[o, idx] = Pr(output o | database idx).
-
-    Every column must sum to one; zeros are allowed.
-    """
-
-    n: int
-    alphabet_size: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 2 or t.shape[1] != self.alphabet_size**self.n:
-            raise DimensionMismatch(
-                f"table must be (outcomes, {self.alphabet_size**self.n})"
-            )
-        if np.any(t < 0.0):
-            raise NegativeProbability("outcome probabilities must be nonnegative")
-        sums = t.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise DimensionMismatch("each database's outcome column must sum to 1")
-        object.__setattr__(self, "table", t)
-        self.table.setflags(write=False)
 
 
 def max_biased_values(n: int, budget: PrivacyBudget, z: int) -> np.ndarray:
@@ -180,24 +154,29 @@ def dp_audit(profile: EventProfile) -> PrivacyBudget:
     eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i.
     """
     a = profile.alphabet_size
-    logs = cell_tensor(np.log(profile.values), profile.n, a)
+    logs = np.log(profile.values)
     eps = np.zeros(profile.n)
     for i in range(profile.n):
-        swept = np.moveaxis(logs, i, 0).reshape(a, -1)
+        swept = faces(logs, profile.n, a, i)
         for u in range(a):
             for v in range(u + 1, a):
-                gap = float(np.max(np.abs(swept[u] - swept[v]))) if swept.shape[1] else 0.0
-                eps[i] = max(eps[i], gap)
+                eps[i] = max(eps[i], float(np.max(np.abs(swept[u] - swept[v]))))
     return PrivacyBudget(eps)
 
 
-def _profile_nu(dist: JointDistribution, values: np.ndarray, a: int) -> float:
-    """Largest log posterior-odds shift any direction pair gives one event."""
-    marg = dist.marginal_of(a)
-    supported = [z for z in range(dist.alphabet_size) if marg[z] > 0.0]
-    if len(supported) < 2:
-        return 0.0
-    means = {z: conditional_mean(dist, values, a, z) for z in supported}
+def mechanism_nu(dist: JointDistribution, profile: EventProfile, a: int) -> float:
+    """Inference parameter of a fixed mechanism's event about coordinate a.
+
+    This is the largest ln of the ratio Pr(event | x_a = z1) /
+    Pr(event | x_a = z0) over ordered pairs of supported values, the
+    conditional probabilities being taken under the prior.  Returns
+    math.inf when some ratio has zero denominator and a positive
+    numerator.
+    """
+    if (profile.n, profile.alphabet_size) != (dist.n, dist.alphabet_size):
+        raise DimensionMismatch("mechanism and prior shapes differ")
+    masses, means = conditional_means(dist, profile.values, a)
+    supported = [z for z, mass in enumerate(masses) if mass > 0.0]
     best = 0.0
     unbounded = False
     for z0 in supported:
@@ -206,42 +185,12 @@ def _profile_nu(dist: JointDistribution, values: np.ndarray, a: int) -> float:
                 continue
             num, den = means[z1], means[z0]
             if den == 0.0:
-                # Profile entries are positive, so only an outcome-table
-                # row that vanishes on the z0 face, or a mean that
-                # underflows, gets here.
+                # Profile entries are positive, but a conditional mean can
+                # still underflow: a uniform prior on two bits with
+                # m = 5e-324 on the x_0 = 0 face gives 0 here.
                 unbounded = unbounded or num > 0.0
                 continue
             if num <= 0.0:
                 continue
             best = max(best, math.log(num) - math.log(den))
     return math.inf if unbounded else best
-
-
-def mechanism_nu(
-    dist: JointDistribution,
-    mech: Union[EventProfile, OutcomeTable],
-    a: int,
-) -> float:
-    """Inference parameter of a fixed mechanism about coordinate a.
-
-    For an event profile this is the largest ln of the ratio
-    Pr(event | x_a = z1) / Pr(event | x_a = z0) over ordered value pairs,
-    the conditional probabilities being taken under the prior.  For an
-    outcome table the maximum over output sets is reached at a singleton
-    (mediant inequality), so rows are scanned one at a time.  Returns
-    math.inf when some ratio has zero denominator and a positive
-    numerator.
-    """
-    if (mech.n, mech.alphabet_size) != (dist.n, dist.alphabet_size):
-        raise DimensionMismatch("mechanism and prior shapes differ")
-    if isinstance(mech, EventProfile):
-        return _profile_nu(dist, mech.values, a)
-    best = 0.0
-    for row in mech.table:
-        if not np.any(row > 0.0):
-            continue
-        nu = _profile_nu(dist, row, a)
-        if math.isinf(nu):
-            return math.inf
-        best = max(best, nu)
-    return best

@@ -361,18 +361,57 @@ def test_cap_env_variable(write_json, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,env", [
-    (["--cap", "0"], None), (["--cap", "-3"], None), ([], "0"),
-], ids=["cap-0", "cap-negative", "env-0"])
+    (["check", "--cap", "0"], None), (["check", "--cap", "-3"], None), (["check"], "0"),
+    (["nu", "--eps", "0.2", "--lp-cap", "0"], None),
+    (["nu", "--eps", "0.2", "--lp-cap", "-5"], None),
+], ids=["cap-0", "cap-negative", "env-0", "lp-cap-0", "lp-cap-negative"])
 def test_cap_must_be_positive(write_json, capsys, monkeypatch, argv, env):
     path = write_json("tree.json", TREE)
     if env is not None:
         monkeypatch.setenv("INFERA_CAP", env)
-    code = main(["check", "--dist", path] + argv)
+    code = main(argv[:1] + ["--dist", path] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "positive integer" in captured.err
+
+
+def test_nu_all_skips_the_closed_form_on_a_ternary_prior(write_json, capsys):
+    path = write_json("ternary.json", {"generator": "product", "params": {
+        "marginals": [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]]}})
+    argv = ["nu", "--dist", path, "--eps", "0.3"]
+    code, exact = _run(capsys, argv + ["--method", "exact"])
+    assert code == 0
+    code, report = _run(capsys, argv + ["--method", "all"])
+    assert code == 0
+    assert report["results"]["exact"] == exact["results"]["nu"]
+    assert "closed_form" not in report["results"]
+    assert any(w.startswith("closed form skipped: ") for w in report["warnings"])
+
+
+@pytest.mark.parametrize("obj", [
+    {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": "abc"}},
+    {"n": 1, "alphabet": 2, "probs": "xyz"},
+    {"generator": "product", "params": {"marginals": []}},
+    {"generator": "twins", "params": [1]},
+], ids=["J-string", "probs-string", "marginals-empty", "params-list"])
+def test_malformed_params_are_a_parse_error(write_json, capsys, obj):
+    path = write_json("bad.json", obj)
+    code = main(["nu", "--dist", path, "--eps", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "unexpected" not in captured.err
+
+
+@pytest.mark.parametrize("eps", [0.41, 0.7])
+def test_nu_gibbs_never_reports_below_the_budget(write_json, capsys, eps):
+    # At h0 = 1e8 the fields round nu_0 to a hair below eps_0.
+    path = write_json("tree.json", {"generator": "ising_tree",
+                                    "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1e8}})
+    code, report = _run(capsys, ["nu", "--dist", path, "--eps", repr(eps), "--method", "gibbs"])
+    assert code == 0
+    assert report["results"]["nu"] >= eps
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,9 +9,9 @@ from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
     cell_tensor,
-    conditional_slice,
+    conditional_means,
     digit_table,
-    fix_coordinate,
+    faces,
     from_dense,
     is_pairwise_positively_correlated,
     is_positively_affiliated,
@@ -27,7 +27,8 @@ from infera.errors import (
     UnsupportedAlphabet,
     ZeroMass,
 )
-from infera.affiliated import random_affiliated
+from infera.affiliated import nu_of_max_biased, random_affiliated
+from infera.mechanism import PrivacyBudget
 from infera.ising import IsingTreeModel, ising_tree_distribution
 
 
@@ -141,49 +142,52 @@ def test_parity_not_affiliated_with_valid_witness():
 
 def test_conditional_slice_twins_point_mass():
     d = perfectly_correlated(2, 0.5)
-    sl = conditional_slice(d, 0, 1)
-    assert sl.mass == 0.5
-    assert np.array_equal(sl.dist.probs, [0.0, 1.0])
+    masses, means = conditional_means(d, d.digits()[:, 1].astype(float), 0)
+    assert masses == [0.5, 0.5]
+    # Given x_0 = z, x_1 = z surely.
+    assert means == [0.0, 1.0]
+    assert np.array_equal(faces(d.probs, 2, 2, 0)[1] / masses[1], [0.0, 1.0])
 
 
 def test_conditional_slice_product_drops_factor():
     d = product([[0.3, 0.7], [0.2, 0.8], [0.6, 0.4]])
-    sl = conditional_slice(d, 1, 0)
+    masses, _ = conditional_means(d, np.ones(8), 1)
     expect = product([[0.3, 0.7], [0.6, 0.4]])
-    assert np.allclose(sl.dist.probs, expect.probs, rtol=0, atol=1e-15)
-    assert abs(sl.mass - 0.2) <= 1e-15
+    assert np.allclose(faces(d.probs, 3, 2, 1)[0] / masses[0], expect.probs, rtol=0, atol=1e-15)
+    assert abs(masses[0] - 0.2) <= 1e-15
 
 
 def test_conditional_slice_zero_probability_event():
     d = perfectly_correlated(2, 1.0)
+    masses, means = conditional_means(d, np.ones(4), 0)
+    assert masses == [0.0, 1.0]
+    assert math.isnan(means[0]) and means[1] == 1.0
     with pytest.raises(InsufficientSupport):
-        conditional_slice(d, 0, 0)
+        nu_of_max_biased(d, PrivacyBudget.uniform(2, 0.5), 0, 0)
 
 
 def test_conditional_slice_argument_checks():
     d = perfectly_correlated(2, 0.5)
     with pytest.raises(DimensionMismatch):
-        conditional_slice(d, 2, 0)
+        conditional_means(d, d.probs, 2)
     with pytest.raises(DimensionMismatch):
-        conditional_slice(d, 0, 3)
+        faces(d.probs, 2, 2, 2)
 
 
 def test_slice_reconstruction_random():
-    # mass_0 * slice_0 + mass_1 * slice_1 must rebuild the x_{-a} marginal.
+    # sum_z Pr(x_a = z) E[v | x_a = z] must rebuild E[v], and the faces
+    # summed over z the x_{-a} marginal.
     rng = np.random.default_rng(12)
     for _ in range(20):
         n = int(rng.integers(2, 5))
         d = random_prior(rng, n, floor=1e-6)
+        values = rng.uniform(size=2**n)
         shaped = d.probs.reshape((2,) * n, order="F")
         for a in range(n):
-            rest = np.moveaxis(shaped, a, 0).reshape(2, -1).sum(axis=0)
-            rebuilt = np.zeros_like(rest)
-            for z in (0, 1):
-                sl = conditional_slice(d, a, z)
-                rebuilt += sl.mass * sl.dist.probs
-            # Slice flattening uses the same little-endian layout, but the
-            # marginal above collapsed axis a to the front, so compare sums.
-            assert np.max(np.abs(np.sort(rebuilt) - np.sort(rest))) <= 1e-12
+            masses, means = conditional_means(d, values, a)
+            assert abs(sum(m * v for m, v in zip(masses, means)) - d.probs @ values) <= 1e-12
+            rest = shaped.sum(axis=a).reshape(-1, order="F")
+            assert np.max(np.abs(faces(d.probs, n, 2, a).sum(axis=0) - rest)) <= 1e-15
 
 
 def test_affiliated_ising_tree_prior():
@@ -284,7 +288,7 @@ def test_digit_table_round_trips_alphabet_3():
         assert d.index_of(row) == k
 
 
-def test_cell_tensor_and_fix_coordinate_match_index_loops():
+def test_cell_tensor_and_faces_match_index_loops():
     rng = np.random.default_rng(16)
     for n, alph in ((1, 2), (3, 2), (4, 2), (3, 3), (2, 4)):
         size = alph**n
@@ -295,7 +299,7 @@ def test_cell_tensor_and_fix_coordinate_match_index_loops():
         for a in range(n):
             for z in range(alph):
                 want = [flat[k] for k in range(size) if _digits_of(k, n, alph)[a] == z]
-                assert np.array_equal(fix_coordinate(flat, n, alph, a, z), want)
+                assert np.array_equal(faces(flat, n, alph, a)[z], want)
 
 
 def test_coordinate_range_checks():
@@ -304,10 +308,7 @@ def test_coordinate_range_checks():
         with pytest.raises(DimensionMismatch):
             d.marginal_of(a)
         with pytest.raises(DimensionMismatch):
-            conditional_slice(d, a, 0)
-    for z in (2, -1):
-        with pytest.raises(DimensionMismatch):
-            fix_coordinate(d.probs, 3, 2, 0, z)
+            conditional_means(d, d.probs, a)
 
 
 def _lattice_holds(p):

@@ -242,9 +242,11 @@ def _forests(draw):
 @given(_forests())
 def test_nu_tree_matches_enumeration(forest):
     n, edges, J, h, eps = forest
-    got = nu_tree(_prior(n, edges, J, h), PrivacyBudget(np.array(eps)))
+    budget = PrivacyBudget(np.array(eps))
+    nu = nu_tree(_prior(n, edges, J, h), budget)
     want = _enumerate_nu(n, edges, J, h, eps)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+    assert np.all(np.abs(nu - want) <= 1e-12 * np.maximum(1.0, want))
+    assert np.all(nu >= budget.eps)
 
 
 @pytest.mark.parametrize("edges", [

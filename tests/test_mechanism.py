@@ -1,4 +1,4 @@
-"""Profiles, tables, budgets, auditing, and fixed-mechanism leakage."""
+"""Profiles, budgets, auditing, and fixed-mechanism leakage."""
 
 import math
 
@@ -13,7 +13,6 @@ from infera.ising import IsingTreeModel, ising_tree_distribution
 from infera.lp_exact import nu_exact
 from infera.mechanism import (
     EventProfile,
-    OutcomeTable,
     PrivacyBudget,
     dp_audit,
     max_biased_profile,
@@ -48,15 +47,6 @@ def test_profile_validation():
     # A hair above 1 is float noise and clamps down.
     p = EventProfile(n=1, alphabet_size=2, values=np.array([1.0 + 1e-13, 0.5]))
     assert p.values[0] == 1.0
-
-
-def test_table_validation():
-    with pytest.raises(DimensionMismatch):
-        OutcomeTable(n=1, alphabet_size=2, table=np.array([[0.5, 0.5], [0.4, 0.5]]))
-    with pytest.raises(NegativeProbability):
-        OutcomeTable(n=1, alphabet_size=2, table=np.array([[1.1, 0.5], [-0.1, 0.5]]))
-    t = OutcomeTable(n=1, alphabet_size=2, table=np.array([[0.0, 0.5], [1.0, 0.5]]))
-    assert t.table.shape == (2, 2)
 
 
 def test_max_biased_values():
@@ -236,33 +226,32 @@ def test_sandwich_bounds():
 
 
 def test_table_nu_reached_at_single_outcome():
-    # Ratio of sums <= max ratio of terms, so pooling outcomes never
-    # beats the best singleton.
+    # Ratio of sums <= max ratio of terms, so pooling the outcomes of a
+    # table (one row per outcome, each column summing to one) never beats
+    # the best singleton.
     rng = np.random.default_rng(25)
     for _ in range(20):
         n = int(rng.integers(1, 4))
         d = random_prior(rng, n, floor=1e-3)
         raw = rng.gamma(1.0, size=(3, 2**n)) + 1e-9
-        table = OutcomeTable(n=n, alphabet_size=2, table=raw / raw.sum(axis=0))
+        table = raw / raw.sum(axis=0)
         a = int(rng.integers(n))
         best_single = max(
             mechanism_nu(d, EventProfile(n=n, alphabet_size=2, values=np.minimum(row, 1.0)), a)
-            for row in table.table
+            for row in table
         )
-        assert abs(mechanism_nu(d, table, a) - best_single) <= 1e-12
         for mask in range(1, 8):
-            pooled = sum(table.table[o] for o in range(3) if mask >> o & 1)
+            pooled = sum(table[o] for o in range(3) if mask >> o & 1)
             pooled = EventProfile(n=n, alphabet_size=2, values=np.minimum(pooled, 1.0))
             assert mechanism_nu(d, pooled, a) <= best_single + 1e-12
 
 
-def test_table_nu_unbounded_on_vanishing_denominator():
+def test_nu_unbounded_on_vanishing_denominator():
     d = product([[0.5, 0.5], [0.5, 0.5]])
-    # Outcome 0 is impossible when x_0 = 0, so observing it pins x_0 = 1.
-    bits = bit_table(2)
-    row0 = np.where(bits[:, 0] == 1, 0.5, 0.0)
-    table = OutcomeTable(n=2, alphabet_size=2, table=np.stack([row0, 1.0 - row0]))
-    assert math.isinf(mechanism_nu(d, table, 0))
+    # Given x_0 = 0 the event's mean, two halves of 5e-324, rounds to 0,
+    # so observing it pins x_0 = 1.
+    m = np.where(bit_table(2)[:, 0] == 1, 0.5, 5e-324)
+    assert math.isinf(mechanism_nu(d, EventProfile(n=2, alphabet_size=2, values=m), 0))
 
 
 @pytest.mark.parametrize("eps", [10.0, 50.0, 100.0])
