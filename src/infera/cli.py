@@ -6,6 +6,9 @@ error.  `main` writes each command's JSON report: it repeats the command
 line, digests the input file, and renders results with 12 significant
 digits, so identical invocations produce byte-identical result sections.
 `ising sweep` prints CSV rows instead.
+
+`check`, `nu` and `bound` import the numpy layers they run when they
+run, so the plain-float `ising` commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,33 +20,17 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .dist import (
-    DEFAULT_CAP,
-    JointDistribution,
-    check_coordinate,
-    is_pairwise_positively_correlated,
-    is_positively_affiliated,
-)
-from .errors import (InferaError, NotAffiliated, ParseError, SpectralNormTooLarge,
-                     UnsupportedAlphabet)
-from .files import load_distribution, save_mechanism
-from .influence import dobrushin_bounds, influence_matrix, spectral_norm
-from .ising import (
-    IsingPrior,
+from .bethe import (
     bethe_fixed_point,
     critical_coupling,
     enforceable_epsilon,
     nu_bethe_limit,
-    nu_tree,
     sensitivity_profile,
 )
-from .lp_exact import DEFAULT_LP_CAP, nu_exact
-from .mechanism import PrivacyBudget
-from .affiliated import nu_closed_form
+from .errors import (InferaError, NotAffiliated, ParseError, SpectralNormTooLarge,
+                     UnsupportedAlphabet)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -51,7 +38,10 @@ EXIT_ERROR = 2
 
 
 def _sig(value):
-    """Round floats to 12 significant digits, recursively."""
+    """Round floats to 12 significant digits, recursively; numpy arrays and
+    scalars first become lists and Python numbers."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if isinstance(value, float):
         if math.isinf(value) or math.isnan(value):
             return repr(value)
@@ -60,12 +50,6 @@ def _sig(value):
         return {k: _sig(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sig(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _sig(value.tolist())
-    if isinstance(value, (np.floating,)):
-        return _sig(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 
@@ -98,13 +82,15 @@ def _parse_floats(text: str, flag: str) -> List[float]:
     return values
 
 
-def _parse_eps(text: str, n: int) -> PrivacyBudget:
+def _parse_eps(text: str, n: int):
+    from .mechanism import PrivacyBudget
+
     parts = _parse_floats(text, "--eps")
     if len(parts) == 1:
         return PrivacyBudget.uniform(n, parts[0])
     if len(parts) != n:
         raise ParseError(f"--eps needs 1 or {n} values, got {len(parts)}")
-    return PrivacyBudget(np.asarray(parts))
+    return PrivacyBudget(parts)
 
 
 def _positive(text: str, source: str) -> int:
@@ -117,19 +103,31 @@ def _positive(text: str, source: str) -> int:
     return value
 
 
-def _cap(args) -> int:
+def _load(args) -> Tuple[object, int]:
+    """The prior in --dist, loaded within --cap (or INFERA_CAP), and that
+    cap."""
+    from .dist import DEFAULT_CAP
+    from .files import load_distribution
+
     if args.cap is not None:
-        return _positive(args.cap, "--cap")
-    env = os.environ.get("INFERA_CAP")
-    return _positive(env, "INFERA_CAP") if env else DEFAULT_CAP
+        cap = _positive(args.cap, "--cap")
+    else:
+        env = os.environ.get("INFERA_CAP")
+        cap = _positive(env, "INFERA_CAP") if env else DEFAULT_CAP
+    return load_distribution(args.dist, cap=cap), cap
 
 
-def _dense(prior, args) -> JointDistribution:
-    """The prior over all its cells; an IsingPrior is enumerated within --cap."""
-    return prior.dense(_cap(args)) if isinstance(prior, IsingPrior) else prior
+def _dense(prior, cap: int):
+    """The prior over all its cells; an IsingPrior is enumerated within cap."""
+    from .ising import IsingPrior
+
+    return prior.dense(cap) if isinstance(prior, IsingPrior) else prior
 
 
-def _tree_nu(prior, budget: PrivacyBudget, target: int) -> float:
+def _tree_nu(prior, budget, target: int) -> float:
+    from .dist import check_coordinate
+    from .ising import IsingPrior, nu_tree
+
     if not isinstance(prior, IsingPrior):
         raise ParseError("--method gibbs needs an ising_tree generator file")
     check_coordinate(prior.n, target)
@@ -137,7 +135,9 @@ def _tree_nu(prior, budget: PrivacyBudget, target: int) -> float:
 
 
 def cmd_check(args, report: dict) -> int:
-    dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
+    from .dist import is_pairwise_positively_correlated, is_positively_affiliated
+
+    dist = _dense(*_load(args))
     results = report["results"]
     failed = False
     what = args.what
@@ -155,9 +155,14 @@ def cmd_check(args, report: dict) -> int:
 
 
 def cmd_nu(args, report: dict) -> int:
-    prior = load_distribution(args.dist, cap=_cap(args))
+    from .affiliated import nu_closed_form
+    from .files import save_mechanism
+    from .ising import IsingPrior
+    from .lp_exact import DEFAULT_LP_CAP, nu_exact
+
+    prior, cap = _load(args)
     budget = _parse_eps(args.eps, prior.n)
-    lp_cap = _positive(args.lp_cap, "--lp-cap")
+    lp_cap = DEFAULT_LP_CAP if args.lp_cap is None else _positive(args.lp_cap, "--lp-cap")
     results = report["results"]
     results["n"] = prior.n
     results["target"] = args.target
@@ -165,7 +170,7 @@ def cmd_nu(args, report: dict) -> int:
     if args.method == "gibbs":
         results["nu"] = _tree_nu(prior, budget, args.target)
     elif args.method == "exact":
-        cert = nu_exact(_dense(prior, args), budget, args.target, cap=lp_cap)
+        cert = nu_exact(_dense(prior, cap), budget, args.target, cap=lp_cap)
         results["nu"] = cert.nu
         results["nu_upper"] = cert.nu_upper
         results["direction"] = list(cert.direction)
@@ -178,7 +183,7 @@ def cmd_nu(args, report: dict) -> int:
             results["witness_file"] = args.witness_out
     elif args.method == "closed-form":
         try:
-            res = nu_closed_form(_dense(prior, args), budget, args.target)
+            res = nu_closed_form(_dense(prior, cap), budget, args.target)
         except NotAffiliated as exc:
             results["nu"] = None
             results["not_affiliated_witness"] = [list(w) for w in exc.witness]
@@ -189,7 +194,7 @@ def cmd_nu(args, report: dict) -> int:
         results["numerator"] = res.numerator
         results["denominator"] = res.denominator
     else:  # all
-        dist = _dense(prior, args)
+        dist = _dense(prior, cap)
         values = {}
         cert = nu_exact(dist, budget, args.target, cap=lp_cap)
         values["exact"] = cert.nu
@@ -211,7 +216,9 @@ def cmd_nu(args, report: dict) -> int:
 
 
 def cmd_bound(args, report: dict) -> int:
-    dist = _dense(load_distribution(args.dist, cap=_cap(args)), args)
+    from .influence import dobrushin_bounds, influence_matrix, spectral_norm
+
+    dist = _dense(*_load(args))
     budget = _parse_eps(args.eps, dist.n)
     results = report["results"]
     matrix = influence_matrix(dist)
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "closed-form", "gibbs", "all"),
                    default="exact")
     p.add_argument("--witness-out", default=None, help="export the LP witness")
-    p.add_argument("--lp-cap", default=str(DEFAULT_LP_CAP),
+    p.add_argument("--lp-cap", default=None,
                    help="LP size cap: at most 2**(LP_CAP - 1) variables, a positive integer")
     _add_common(p, cmd_nu, cap=True)
 

@@ -13,9 +13,10 @@ import numpy as np
 
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
+from infera.bethe import bethe_fixed_point, nu_bethe_limit, sensitivity_profile
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
 from infera.influence import dobrushin_bounds, influence_matrix, product_ratio_bound, spectral_norm
-from infera.ising import IsingTreeModel, bethe_fixed_point, nu_bethe_limit, nu_tree, sensitivity_profile
+from infera.ising import IsingTreeModel, nu_tree
 from infera.lp_exact import nu_exact
 from infera.mechanism import (
     PrivacyBudget,

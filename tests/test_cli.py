@@ -489,6 +489,18 @@ def test_nu_limit_huge_budget_is_a_typed_error(capsys, eps):
     assert "error:" in captured.err and "error: unexpected" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ising", "nu-limit", "--J", "0.3", "--eps", "nan", "--d", "2"],
+    ["ising", "sensitivity", "--J", "0.3", "--h0", "0.1", "--d", "2", "--eps-list", "nan"],
+], ids=["nu-limit", "sensitivity"])
+def test_nan_budget_is_named_as_eps(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "eps" in captured.err
+
+
 @pytest.mark.parametrize("prior,method,eps", [
     (TREE3, "exact", "800"), (TREE3, "closed-form", "1000"), (TREE3, "all", "800"),
     (TREE3, "exact", "700"),
@@ -585,9 +597,9 @@ def _any_float(lo, hi):
     return st.floats(lo, hi) | st.floats(allow_nan=True, allow_infinity=True)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(
-    command=st.sampled_from(["nu-limit", "enforce", "sensitivity"]),
+    command=st.sampled_from(["nu-limit", "enforce", "sensitivity", "sweep", "critical"]),
     J=_any_float(-1.0, 3.0),
     eps=_any_float(0.0, 5.0),
     h0=_any_float(-1.0, 1.0),
@@ -598,6 +610,8 @@ def test_ising_exit_code_contract(command, J, eps, h0, d):
         "nu-limit": [f"--J={J!r}", f"--eps={eps!r}"],
         "enforce": [f"--nu={eps!r}", f"--J={J!r}"],
         "sensitivity": [f"--J={J!r}", f"--h0={h0!r}", f"--eps-list={eps!r}"],
+        "sweep": [f"--J-grid={J!r}", f"--eps-grid={eps!r}", f"--h0={h0!r}"],
+        "critical": [],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

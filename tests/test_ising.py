@@ -10,20 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bit_table
-from infera.dist import is_positively_affiliated
-from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
-from infera.ising import (
-    IsingPrior,
-    IsingTreeModel,
+from infera.bethe import (
     bethe_fixed_point,
     critical_coupling,
     enforceable_epsilon,
-    ising_tree_distribution,
     nu_bethe_limit,
-    nu_gibbs,
-    nu_tree,
     sensitivity_profile,
 )
+from infera.dist import is_positively_affiliated
+from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
+from infera.ising import IsingPrior, IsingTreeModel, ising_tree_distribution, nu_gibbs, nu_tree
 from infera.mechanism import PrivacyBudget
 
 
@@ -560,3 +556,10 @@ def test_sensitivity_saturation_scenario():
 def test_sensitivity_rejects_nonpositive_budget():
     with pytest.raises(DimensionMismatch):
         sensitivity_profile(0.3, 0.1, 2, [0.2, 0.0])
+
+
+def test_nan_budget_is_named_as_eps():
+    with pytest.raises(DimensionMismatch, match="eps"):
+        nu_bethe_limit(0.3, math.nan, 2)
+    with pytest.raises(DimensionMismatch, match="eps"):
+        sensitivity_profile(0.3, 0.1, 2, [0.2, math.nan])
