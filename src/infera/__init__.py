@@ -42,9 +42,9 @@ _EXPORTS = {
         "product_ratio_bound",
         "spectral_norm",
     ),
-    "ising": ("IsingPrior", "IsingTreeModel", "ising_tree_distribution", "nu_gibbs", "nu_tree"),
+    "ising": ("IsingPrior", "IsingTreeModel", "ising_tree_distribution", "nu_gibbs", "nu_tree",
+              "tree_prior"),
     "bethe": (
-        "BetheSolution",
         "bethe_fixed_point",
         "critical_coupling",
         "enforceable_epsilon",

@@ -105,17 +105,16 @@ def nu_of_max_biased(
     return math.log(num) - math.log(den)
 
 
-def random_affiliated(
-    n: int, rng: np.random.Generator, field_scale: float = 1.0, coupling_scale: float = 0.6
-) -> JointDistribution:
+def random_affiliated(n: int, rng: np.random.Generator) -> JointDistribution:
     """Random positively affiliated prior.
 
     Weights follow log w(x) = sum_i theta_i x_i + sum_{i<j} J_ij x_i x_j
-    with J_ij >= 0; nonnegative pairwise couplings make log w
-    supermodular, hence the prior affiliated, for any fields theta.
+    with theta_i ~ N(0, 1) and J_ij ~ U[0, 0.6); nonnegative pairwise
+    couplings make log w supermodular, hence the prior affiliated, for any
+    fields theta.
     """
-    theta = rng.normal(0.0, field_scale, size=n)
-    coupling = rng.uniform(0.0, coupling_scale, size=(n, n))
+    theta = rng.normal(0.0, 1.0, size=n)
+    coupling = rng.uniform(0.0, 0.6, size=(n, n))
     digits = digit_table(n, 2).astype(np.float64)
     log_w = digits @ theta
     for i in range(n):

@@ -30,18 +30,9 @@ numpy and `infera ising` runs without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotAffiliated, UndefinedRatio
-
-
-@dataclass(frozen=True)
-class BetheSolution:
-    """Fixed point x(J, h) and the bisection steps that located it."""
-
-    x: float
-    iterations: int
 
 
 def _w_minus_phi(w: float, J: float, k: float) -> float:
@@ -63,21 +54,19 @@ def _w_minus_phi(w: float, J: float, k: float) -> float:
     return (w - 2.0 * k * m) - k * math.log1p(math.expm1(-4.0 * m) * q / (1.0 + q))
 
 
-def _largest_w(J: float, k: float, level: float, hi: float) -> Tuple[float, int]:
+def _largest_w(J: float, k: float, level: float, hi: float) -> float:
     """Largest float w in [0, hi] with w - k phi(w) <= level, for a level
     that 0 meets and that w - k phi(w), once above it, stays above.  Tries
-    hi, then halves the bracket until the midpoint stops moving.  Returns w
-    and the number of midpoints tried."""
+    hi, then halves the bracket until the midpoint stops moving."""
     if _w_minus_phi(hi, J, k) <= level:
-        return hi, 0
-    lo, steps = 0.0, 0
+        return hi
+    lo = 0.0
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        steps += 1
         if _w_minus_phi(mid, J, k) <= level:
             lo = mid
         else:
             hi = mid
-    return lo, steps
+    return lo
 
 
 def _check_tree(J: float, d: int) -> None:
@@ -89,10 +78,9 @@ def _check_tree(J: float, d: int) -> None:
         raise DimensionMismatch(f"branching factor must be nonnegative, got {d}")
 
 
-def _cavity_log_ratio(J: float, field: float, d: int) -> Tuple[float, int]:
+def _cavity_log_ratio(J: float, field: float, d: int) -> float:
     """Cavity log-ratio w = field + d phi(w) of the infinite tree of
-    branching d under the log-odds field `field` (2h) at every site, and
-    the bisection steps that located it.
+    branching d under the log-odds field `field` (2h) at every site.
 
     w is the limit of the iteration w <- field + d phi(w) from 0.  For
     field > 0, g(w) = field + d phi(w) - w has g(0) > 0,
@@ -105,29 +93,27 @@ def _cavity_log_ratio(J: float, field: float, d: int) -> Tuple[float, int]:
     if math.isnan(field):
         raise DimensionMismatch("field must be a number")
     if field == 0.0:
-        return 0.0, 0
+        return 0.0
     b = abs(field)
     top = b + 2.0 * d * J
     if top == math.inf:
         raise UndefinedRatio(f"cavity log-ratio at J={J}, field {field}, d={d} overflows a float")
-    w, steps = _largest_w(J, d, b, top)
-    return math.copysign(w, field), steps
+    return math.copysign(_largest_w(J, d, b, top), field)
 
 
-def bethe_fixed_point(J: float, h: float, d: int) -> BetheSolution:
+def bethe_fixed_point(J: float, h: float, d: int) -> float:
     """Branch ratio x(J, h) = e^w of the infinite d-ary tree under a
     uniform field h: 1 at h = 0, in (1, inf) for h > 0 and in (0, 1) for
     h < 0.  Raises UndefinedRatio when x overflows or underflows a float,
     which happens once |h| exceeds about 355.
     """
-    w, steps = _cavity_log_ratio(J, 2.0 * h, d)
     try:
-        x = math.exp(w)
+        x = math.exp(_cavity_log_ratio(J, 2.0 * h, d))
     except OverflowError:
         x = math.inf
     if not 0.0 < x < math.inf:
         raise UndefinedRatio(f"branch ratio x(J={J}, h={h}) lies outside the float range")
-    return BetheSolution(x=x, iterations=steps)
+    return x
 
 
 def nu_bethe_limit(J: float, eps: float, d: int) -> float:
@@ -136,8 +122,7 @@ def nu_bethe_limit(J: float, eps: float, d: int) -> float:
     J = 0; d = 0 is the dimer and d = 1 the infinite path."""
     if not eps >= 0.0:
         raise DimensionMismatch(f"eps must be nonnegative, got {eps}")
-    w, _ = _cavity_log_ratio(J, eps, d)
-    nu = _w_minus_phi(w, J, -1.0)  # w + phi(w)
+    nu = _w_minus_phi(_cavity_log_ratio(J, eps, d), J, -1.0)  # w + phi(w)
     if nu == math.inf:
         raise UndefinedRatio(f"deep-tree leakage at J={J}, eps={eps}, d={d} overflows a float")
     return nu
@@ -164,7 +149,7 @@ def enforceable_epsilon(target_nu: float, J: float, d: int) -> Optional[float]:
     if not 0.0 < target_nu < math.inf:
         raise DimensionMismatch("target must be positive and finite")
     _check_tree(J, d)
-    w, _ = _largest_w(J, -1.0, target_nu, target_nu)  # w + phi(w) <= target
+    w = _largest_w(J, -1.0, target_nu, target_nu)  # w + phi(w) <= target
     eps = _w_minus_phi(w, J, d)
     return eps if eps > 0.0 else None
 
@@ -184,12 +169,12 @@ def sensitivity_profile(
     the interior site 1.3658.
     """
     field = 2.0 * h0
-    w0, _ = _cavity_log_ratio(J, field, d)
+    w0 = _cavity_log_ratio(J, field, d)
     out = []
     for eps in eps_list:
         if not eps > 0.0:
             raise DimensionMismatch(f"every eps must be positive, got {eps}")
-        up = _cavity_log_ratio(J, field + eps, d)[0] - w0
-        down = w0 - _cavity_log_ratio(J, field - eps, d)[0]
+        up = _cavity_log_ratio(J, field + eps, d) - w0
+        down = w0 - _cavity_log_ratio(J, field - eps, d)
         out.append((float(eps), max(up, down)))
     return out

@@ -247,7 +247,7 @@ def cmd_ising(args, report: dict) -> int:
     results = report["results"]
     if args.ising_cmd == "nu-limit":
         results["nu"] = nu_bethe_limit(args.J, args.eps, args.d)
-        results["fixed_point"] = bethe_fixed_point(args.J, 0.5 * args.eps, args.d).x
+        results["fixed_point"] = bethe_fixed_point(args.J, 0.5 * args.eps, args.d)
     elif args.ising_cmd == "critical":
         results["critical_coupling"] = critical_coupling(args.d)
     elif args.ising_cmd == "enforce":

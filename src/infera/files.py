@@ -25,8 +25,8 @@ from typing import Union
 
 from . import dist as dist_mod
 from .dist import DEFAULT_CAP, JointDistribution
-from .errors import ParseError, SizeCap
-from .ising import IsingPrior, IsingTreeModel
+from .errors import ParseError
+from .ising import IsingPrior, tree_prior
 from .mechanism import EventProfile
 
 
@@ -43,6 +43,15 @@ def load_distribution(path: str, cap: int = DEFAULT_CAP) -> Union[JointDistribut
     return distribution_from_obj(obj, cap=cap)
 
 
+def _count(obj: dict, key: str) -> int:
+    """obj[key] as an int; a float counts only when it is integral, where
+    int() would truncate it or fail untyped on inf."""
+    value = obj[key]
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"field {key!r} must be an integer, got {value}")
+    return int(value)
+
+
 def distribution_from_obj(
     obj: dict, cap: int = DEFAULT_CAP
 ) -> Union[JointDistribution, IsingPrior]:
@@ -52,28 +61,18 @@ def distribution_from_obj(
     params = obj.get("params", {})
     try:
         if name is None:
-            return dist_mod.from_dense(int(obj["n"]), int(obj["alphabet"]), obj["probs"], cap=cap)
+            return dist_mod.from_dense(_count(obj, "n"), _count(obj, "alphabet"), obj["probs"],
+                                       cap=cap)
         if name == "twins":
-            return dist_mod.perfectly_correlated(int(params["n"]), float(params["p_one"]), cap=cap)
+            return dist_mod.perfectly_correlated(_count(params, "n"), float(params["p_one"]),
+                                                 cap=cap)
         if name == "product":
             return dist_mod.product(params["marginals"], cap=cap)
         if name == "parity":
-            return dist_mod.parity_constrained(int(params["r"]), int(params["s"]), cap=cap)
+            return dist_mod.parity_constrained(_count(params, "r"), _count(params, "s"), cap=cap)
         if name == "ising_tree":
-            model = IsingTreeModel(d=int(params["d"]), depth=int(params["depth"]),
-                                   J=float(params["J"]), h0=float(params.get("h0", 0.0)))
-            # Count the sites level by level: a deep tree fails here
-            # before d**(depth + 1) or any array is formed.
-            sites = level = 1
-            for _ in range(model.depth):
-                if sites > cap:
-                    break
-                level *= model.d
-                sites += level
-            if sites > cap:
-                raise SizeCap(f"ising_tree with d={model.d} and depth {model.depth} "
-                              f"has more sites than the cap of {cap}")
-            return model.prior()
+            return tree_prior(_count(params, "d"), _count(params, "depth"), float(params["J"]),
+                              float(params.get("h0", 0.0)), cap=cap)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         source = "distribution object" if name is None else f"generator {name}"
         if isinstance(exc, KeyError):

@@ -110,42 +110,43 @@ class IsingPrior:
         return from_dense(n, 2, weights, cap=cap)
 
 
-@dataclass(frozen=True)
-class IsingTreeModel:
-    """Complete d-ary tree of the given depth, BFS indexed from the root."""
-
-    d: int
-    depth: int
-    J: float
-    h0: float = 0.0
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DimensionMismatch("branching factor must be at least 2")
-        if self.depth < 0:
-            raise DimensionMismatch("depth must be nonnegative")
-        if self.J <= 0.0:
-            raise DimensionMismatch("coupling must be positive")
-
-    @property
-    def n(self) -> int:
-        return (self.d ** (self.depth + 1) - 1) // (self.d - 1)
-
-    def prior(self) -> IsingPrior:
-        """The model as an IsingPrior; node k > 0 hangs below (k - 1) // d."""
-        child = np.arange(1, self.n)
-        return IsingPrior(
-            n=self.n,
-            i=(child - 1) // self.d,
-            j=child,
-            J=np.full(child.size, float(self.J)),
-            h=np.full(self.n, float(self.h0)),
-        )
+def tree_prior(
+    d: int, depth: int, J: float, h0: float = 0.0, cap: int = DEFAULT_CAP
+) -> IsingPrior:
+    """Complete d-ary tree of the given depth with coupling J on every edge
+    and field h0 at every site, BFS indexed from the root: site k > 0
+    hangs below (k - 1) // d.  Raises SizeCap when it has more than cap
+    sites, before any array is formed."""
+    if d < 2:
+        raise DimensionMismatch("branching factor must be at least 2")
+    if depth < 0:
+        raise DimensionMismatch("depth must be nonnegative")
+    if J <= 0.0:
+        raise DimensionMismatch("coupling must be positive")
+    # Count the sites level by level: a deep tree fails here before
+    # d**(depth + 1) is formed.
+    n = level = 1
+    for _ in range(depth):
+        if n > cap:
+            break
+        level *= d
+        n += level
+    if n > cap:
+        raise SizeCap(f"ising_tree with d={d} and depth {depth} "
+                      f"has more sites than the cap of {cap}")
+    child = np.arange(1, n)
+    return IsingPrior(n=n, i=(child - 1) // d, j=child,
+                      J=np.full(child.size, float(J)), h=np.full(n, float(h0)))
 
 
-def ising_tree_distribution(model: IsingTreeModel, cap: int = DEFAULT_CAP) -> JointDistribution:
-    """Dense prior over the tree's 2^n spin assignments."""
-    return model.prior().dense(cap)
+# perfbench/workloads.py (:88 and :254) still builds its trees by this
+# name, and calls the two wrappers below.
+IsingTreeModel = tree_prior
+
+
+def ising_tree_distribution(prior: IsingPrior, cap: int = DEFAULT_CAP) -> JointDistribution:
+    """`prior.dense(cap)`."""
+    return prior.dense(cap)
 
 
 def _cavity_message(x: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -242,9 +243,9 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     return np.maximum(nu, budget.eps)
 
 
-def nu_gibbs(model: IsingTreeModel, eps: float, site: int) -> float:
-    """Inference parameter of one site of the tree under a uniform budget."""
+def nu_gibbs(prior: IsingPrior, eps: float, site: int) -> float:
+    """Inference parameter of one site of a forest prior under a uniform budget."""
     if eps <= 0.0:
         raise DimensionMismatch("eps must be positive")
-    check_coordinate(model.n, site)
-    return float(nu_tree(model.prior(), PrivacyBudget.uniform(model.n, eps))[site])
+    check_coordinate(prior.n, site)
+    return float(nu_tree(prior, PrivacyBudget.uniform(prior.n, eps))[site])

@@ -18,7 +18,9 @@ every iteration two bounds are computed from it by code that does not
 depend on how it was found.
 
 * Lower: the largest eps-Lipschitz minorant w of ln u meets the budget by
-  construction, and eps_a + ln(c.e^w / e.e^w) is attained by it.
+  construction, and eps_a + ln(c.e^w / e.e^w) is attained by it.  Before
+  the first iteration, the maximally z1-biased profile
+  w = -sum_i eps_i [x_i != z1] gives the bound.
 * Upper: for any y >= 0 and any t, every feasible u has u(x) K(x) <= e.u
   = 1, where K(x) = sum_s e(s) e^{-d(x, s)} and d is the eps-weighted
   Hamming metric.  So c.u <= t + sum_x max(0, c - A^T y - t e)(x) / K(x).
@@ -35,7 +37,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, faces
+from .dist import JointDistribution, cell_tensor, digit_table, faces
 from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 
@@ -129,10 +131,11 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.min(-v[neg] / dv[neg], initial=np.inf)))
 
 
-def _certify(c, e, rows, eps, alph):
+def _certify(c, e, rows, eps, alph, seed):
     """(lower, upper, w, iterations): bounds on ln max c.u / e.u over the
     profiles that meet the rows, the log-witness w attaining lower, and
-    the iterations taken.  Stops once the bounds meet within
+    the iterations taken.  The log-profile seed, which must meet the
+    budget, is the first witness.  Stops once the bounds meet within
     _DIRECTION_GAP, at the iteration cap, or when an iterate or a bound
     is not finite."""
     lo, hi, gain = rows
@@ -144,6 +147,10 @@ def _certify(c, e, rows, eps, alph):
 
     def at_mul(r):
         return np.bincount(lo, r, size) - np.bincount(hi, gain * r, size)
+
+    def attained(w):
+        m = np.exp(w - w.max())
+        return float(np.log(c @ m) - np.log(e @ m))
 
     # Bound on the rounding error of c - A^T y - t e, per unit of the
     # magnitudes summed into each cell: the upper bound must not drop
@@ -161,18 +168,20 @@ def _certify(c, e, rows, eps, alph):
     s, y = gain.copy(), 1.0 / (size * gain)
     lower, upper, witness = -math.inf, math.inf, None
     with np.errstate(all="ignore"):
+        first = attained(seed)  # NaN where the seed's mass underflows
+        if first > lower:
+            lower, witness = first, seed
         for it in range(_MAX_ITER):
             if not all(np.all(np.isfinite(v)) for v in (u, s, y, z, t)):
                 break
             # Certificate, from the iterate alone.
             w = _envelope(np.log(u), eps, alph)
-            m = np.exp(w - w.max())
             pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
             resid = c - (pos - neg) - t * e
             rd = -resid - z
             resid += rounding * (pos + neg + abs(t) * e + c)
             excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
-            low_here = float(np.log(c @ m) - np.log(e @ m))
+            low_here = attained(w)
             up_here = float(np.log(t + excess.sum()))
             if math.isnan(low_here) or math.isnan(up_here):
                 break
@@ -268,6 +277,7 @@ def nu_exact(
 
     eps = np.delete(budget.eps, a)
     rows = _ratio_rows(n - 1, alph, np.delete(gains, a))
+    digits = digit_table(n - 1, alph)
     eps_a = float(budget.eps[a])
     best = None
     nu_upper = -math.inf
@@ -280,8 +290,10 @@ def nu_exact(
         for z1 in supported:
             if z0 == z1:
                 continue
-            c = cond[z1]
-            lower, upper, w, iters = _certify(c, e, rows, eps, alph)
+            # The maximally z1-biased profile meets the budget and is
+            # optimal for affiliated priors: it seeds the lower bound.
+            seed = -((digits != z1) @ eps)
+            lower, upper, w, iters = _certify(cond[z1], e, rows, eps, alph, seed)
             if not upper - lower <= _DIRECTION_GAP:
                 raise LPError(
                     f"direction {(z0, z1)} not certified after {iters} interior-point "

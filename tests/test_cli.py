@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from infera.cli import main
 from infera.files import distribution_from_obj
-from infera.ising import IsingPrior, IsingTreeModel, nu_tree
+from infera.ising import IsingPrior, nu_tree, tree_prior
 from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from infera.dist import JointDistribution, parity_constrained
 
@@ -171,7 +171,7 @@ def test_nu_gibbs_past_the_dense_cap(write_json, capsys):
     path = write_json("tree63.json", TREE63)
     code, report = _run(capsys, ["nu", "--dist", path, "--eps", "0.2", "--target", "40",
                                  "--method", "gibbs"])
-    prior = IsingTreeModel(d=2, depth=5, J=0.3, h0=0.1).prior()
+    prior = tree_prior(d=2, depth=5, J=0.3, h0=0.1)
     want = nu_tree(prior, PrivacyBudget.uniform(63, 0.2))[40]
     assert code == 0
     assert report["results"]["nu"] == float(f"{want:.12g}")
@@ -402,6 +402,34 @@ def test_malformed_params_are_a_parse_error(write_json, capsys, obj):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and "unexpected" not in captured.err
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"generator": "ising_tree", "params": {"d": 2.9, "depth": 1.7, "J": 0.3}}', "'d'"),
+    ('{"generator": "ising_tree", "params": {"d": 2, "depth": 1.7, "J": 0.3}}', "'depth'"),
+    ('{"generator": "ising_tree", "params": {"d": 2, "depth": 1e400, "J": 0.3}}', "'depth'"),
+    ('{"generator": "twins", "params": {"n": 3.9, "p_one": 0.5}}', "'n'"),
+    ('{"generator": "parity", "params": {"r": 2, "s": 1.5}}', "'s'"),
+    ('{"n": 2.5, "alphabet": 2, "probs": [0.25, 0.25, 0.25, 0.25]}', "'n'"),
+    ('{"n": 2, "alphabet": 2.5, "probs": [0.25, 0.25, 0.25, 0.25]}', "'alphabet'"),
+], ids=["tree-d", "tree-depth", "tree-depth-inf", "twins-n", "parity-s", "dense-n",
+        "dense-alphabet"])
+def test_fractional_counts_are_a_parse_error(tmp_path, capsys, text, field):
+    # int() would truncate these, or fail untyped on inf.
+    path = tmp_path / "frac.json"
+    path.write_text(text)
+    code = main(["nu", "--dist", str(path), "--eps", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "unexpected" not in captured.err
+    assert field in captured.err
+
+
+def test_integral_float_counts_still_load():
+    tree = {"generator": "ising_tree", "params": {"d": 2.0, "depth": 1.0, "J": 0.3}}
+    assert distribution_from_obj(tree).n == 3
+    assert distribution_from_obj({"generator": "twins", "params": {"n": 3.0, "p_one": 0.5}}).n == 3
 
 
 @pytest.mark.parametrize("eps", [0.41, 0.7])

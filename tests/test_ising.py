@@ -19,7 +19,9 @@ from infera.bethe import (
 )
 from infera.dist import is_positively_affiliated
 from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
-from infera.ising import IsingPrior, IsingTreeModel, ising_tree_distribution, nu_gibbs, nu_tree
+from infera.ising import (
+    IsingPrior, IsingTreeModel, ising_tree_distribution, nu_gibbs, nu_tree, tree_prior,
+)
 from infera.mechanism import PrivacyBudget
 
 
@@ -72,14 +74,13 @@ def _prior(n, edges, J, h):
     return IsingPrior(n=n, i=i, j=j, J=np.asarray(J, dtype=float), h=np.asarray(h, dtype=float))
 
 
-def _edges(model):
-    """Parent-child pairs of the model's prior."""
-    p = model.prior()
-    return list(zip(p.i.tolist(), p.j.tolist()))
+def _edges(prior):
+    """Parent-child pairs of the prior."""
+    return list(zip(prior.i.tolist(), prior.j.tolist()))
 
 
 def _complete_tree(d, depth, J):
-    """Complete d-ary tree at zero field, BFS indexed as IsingTreeModel
+    """Complete d-ary tree at zero field, BFS indexed as tree_prior
     does, for any d >= 1 (d = 1 is a path from site 0)."""
     n = sum(d**level for level in range(depth + 1))
     child = np.arange(1, n)
@@ -96,23 +97,50 @@ def _root_log_odds(d, depth, J, h):
 # --- model and distribution ---------------------------------------------
 
 def test_model_indexing():
-    m = IsingTreeModel(d=2, depth=2, J=0.3)
+    m = tree_prior(d=2, depth=2, J=0.3)
     assert m.n == 7
     assert _edges(m) == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
-    m3 = IsingTreeModel(d=3, depth=1, J=0.3, h0=-0.2)
+    m3 = tree_prior(d=3, depth=1, J=0.3, h0=-0.2)
     assert m3.n == 4
     assert _edges(m3) == [(0, 1), (0, 2), (0, 3)]
-    p = m3.prior()
-    assert p.n == 4 and np.all(p.J == 0.3) and np.all(p.h == -0.2)
+    assert np.all(m3.J == 0.3) and np.all(m3.h == -0.2)
 
 
 def test_model_validation():
     with pytest.raises(DimensionMismatch):
-        IsingTreeModel(d=1, depth=2, J=0.3)
+        tree_prior(d=1, depth=2, J=0.3)
     with pytest.raises(DimensionMismatch):
-        IsingTreeModel(d=2, depth=-1, J=0.3)
+        tree_prior(d=2, depth=-1, J=0.3)
     with pytest.raises(DimensionMismatch):
-        IsingTreeModel(d=2, depth=2, J=0.0)
+        tree_prior(d=2, depth=2, J=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tree_prior_is_the_complete_tree_in_bfs_order(d):
+    for depth in range(5):
+        # Breadth first: each level's sites take their d children in turn.
+        edges, level, n = [], [0], 1
+        for _ in range(depth):
+            below = list(range(n, n + d * len(level)))
+            edges += [(p, c) for p, c in zip(np.repeat(level, d).tolist(), below)]
+            level, n = below, n + len(below)
+        for J, h0 in [(0.3, 0.0), (1.7, -0.4), (1e-9, 2.5)]:
+            p = tree_prior(d, depth, J, h0)
+            assert p.n == n and _edges(p) == edges
+            assert np.all(p.J == J) and p.J.size == n - 1 and np.all(p.h == h0)
+
+
+def test_tree_prior_refuses_past_the_site_cap_before_building():
+    # 2**41 - 1 and 2**71 - 1 sites: refused by counting, before any array.
+    with pytest.raises(SizeCap, match="cap of 1048576"):
+        tree_prior(2, 70, 0.3)
+    with pytest.raises(SizeCap):
+        nu_gibbs(IsingTreeModel(d=2, depth=40, J=0.3), 0.2, 0)
+    with pytest.raises(SizeCap):
+        ising_tree_distribution(IsingTreeModel(d=2, depth=70, J=0.3))
+    assert tree_prior(2, 3, 0.3, cap=15).n == 15
+    with pytest.raises(SizeCap):
+        tree_prior(2, 3, 0.3, cap=14)
 
 
 def test_distribution_size_cap():
@@ -181,7 +209,7 @@ def test_nu_gibbs_frozen_value():
 def test_nu_gibbs_zero_field_identity():
     m = IsingTreeModel(d=2, depth=2, J=0.4)
     eps = 0.3
-    want = math.log(_enumerate_ratio(m.n, _edges(m), m.J, 0.5 * eps))
+    want = math.log(_enumerate_ratio(m.n, _edges(m), 0.4, 0.5 * eps))
     assert abs(nu_gibbs(m, eps, 0) - want) <= 1e-12
 
 
@@ -200,7 +228,7 @@ def test_nu_gibbs_rejects_bad_budget():
 def test_nu_gibbs_huge_budget_matches_enumeration(eps):
     # The dense closed form underflows at eps = 1000; the log domain does not.
     m = IsingTreeModel(d=2, depth=1, J=0.3)
-    want = _enumerate_nu(m.n, _edges(m), [m.J] * 2, [0.0] * m.n, [eps] * m.n)
+    want = _enumerate_nu(m.n, _edges(m), [0.3] * 2, [0.0] * m.n, [eps] * m.n)
     for site in range(m.n):
         assert abs(nu_gibbs(m, eps, site) - want[site]) <= 1e-12 * want[site]
     assert abs(nu_gibbs(m, 1000.0, 0) - 1001.2) <= 1e-12 * 1001.2
@@ -279,7 +307,7 @@ def test_ising_prior_refuses_fields_whose_sum_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch, match="sum"):
-            IsingTreeModel(d=2, depth=1, J=0.3, h0=1.5e308).prior()
+            tree_prior(d=2, depth=1, J=0.3, h0=1.5e308)
 
 
 def test_negative_coupling_is_not_affiliated():
@@ -364,22 +392,21 @@ def test_bethe_limit_with_one_branch_is_the_infinite_path():
 # --- cavity fixed point --------------------------------------------------
 
 def test_fixed_point_basic_laws():
-    sol = bethe_fixed_point(0.4, 0.0, 2)
-    assert sol.x == 1.0
-    assert abs(bethe_fixed_point(0.0, 0.3, 2).x - math.exp(0.6)) <= 1e-12
-    assert bethe_fixed_point(0.3, 0.2, 2).x > 1.0
-    assert bethe_fixed_point(0.3, -0.2, 2).x < 1.0
+    assert bethe_fixed_point(0.4, 0.0, 2) == 1.0
+    assert abs(bethe_fixed_point(0.0, 0.3, 2) - math.exp(0.6)) <= 1e-12
+    assert bethe_fixed_point(0.3, 0.2, 2) > 1.0
+    assert bethe_fixed_point(0.3, -0.2, 2) < 1.0
 
 
 def test_fixed_point_supercritical_symmetry_breaking():
     # Above the critical coupling a vanishing field still tilts the odds.
-    assert math.log(bethe_fixed_point(0.7, 5e-7, 2).x) > 0.05
+    assert math.log(bethe_fixed_point(0.7, 5e-7, 2)) > 0.05
 
 
 def test_fixed_point_reciprocal_symmetry():
     for J, h, d in [(0.3, 0.1, 2), (0.5, 0.4, 3), (0.7, 0.02, 2)]:
-        up = bethe_fixed_point(J, h, d).x
-        down = bethe_fixed_point(J, -h, d).x
+        up = bethe_fixed_point(J, h, d)
+        down = bethe_fixed_point(J, -h, d)
         assert abs(up * down - 1.0) <= 1e-12
 
 
@@ -394,14 +421,13 @@ def test_fixed_point_near_critical_coupling(J):
     prev = 0.0
     for k in range(-12, 2):
         h = 10.0**k
-        sol = bethe_fixed_point(J, h, 2)
-        w = math.log(sol.x)
+        x = bethe_fixed_point(J, h, 2)
+        w = math.log(x)
         step = 2.0 * h + 2.0 * math.log(
-            (math.exp(J) * sol.x + math.exp(-J)) / (math.exp(J) + math.exp(-J) * sol.x)
+            (math.exp(J) * x + math.exp(-J)) / (math.exp(J) + math.exp(-J) * x)
         )
         assert abs(step - w) <= 1e-12 * max(1.0, w)
         assert prev < w < 2.0 * h + 4.0 * J
-        assert sol.iterations <= 200
         prev = w
 
 
@@ -416,7 +442,7 @@ def test_finite_iterates_climb_to_fixed_point():
     # (k + 1)-th iterate of w <- 2h + d phi(w) from 0: they climb to ln x.
     J, h = 0.3, 0.1
     for d in (2, 1):
-        w = math.log(bethe_fixed_point(J, h, d).x)
+        w = math.log(bethe_fixed_point(J, h, d))
         odds = [_root_log_odds(d, depth, J, h) for depth in range(13)]
         assert all(a < b for a, b in zip(odds, odds[1:]))
         assert odds[-1] < w
@@ -510,7 +536,7 @@ def test_strong_coupling_does_not_saturate():
     eps = enforceable_epsilon(10.0, 20.0, 1)
     assert eps is not None and abs(nu_bethe_limit(20.0, eps, 1) - 10.0) <= 1e-12
     ((_, nu),) = sensitivity_profile(20.0, 0.0, 2, [1.0])
-    assert abs(nu - math.log(bethe_fixed_point(20.0, 0.5, 2).x)) <= 1e-12
+    assert abs(nu - math.log(bethe_fixed_point(20.0, 0.5, 2))) <= 1e-12
 
 
 @pytest.mark.parametrize("J,d,error", [
@@ -549,8 +575,8 @@ def test_sensitivity_saturation_scenario():
     (e0, v0), (e1, v1) = profile
     assert v0 / e0 < 2.0
     assert v1 / e1 > 10.0
-    assert math.log(bethe_fixed_point(3.0, 0.3, 2).x) > 6.0
-    assert math.log(bethe_fixed_point(3.0, -0.2, 2).x) < -6.0
+    assert math.log(bethe_fixed_point(3.0, 0.3, 2)) > 6.0
+    assert math.log(bethe_fixed_point(3.0, -0.2, 2)) < -6.0
 
 
 def test_sensitivity_rejects_nonpositive_budget():

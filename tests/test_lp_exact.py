@@ -1,6 +1,7 @@
 """The certified exact leakage LP, checked against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,30 @@ def test_tree_matches_closed_form_at_large_budgets(eps):
     cert = nu_exact(d, b, 0)
     assert abs(cert.nu - nu_closed_form(d, b, 0).nu) <= 1e-9
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
+
+
+def test_twins_at_wide_budgets_answer_or_bracket_the_truth():
+    # nu of a twins prior is the sum of the budget.  At eps_i ~ s U[0.05, 1)
+    # the optimal profile spans up to e^(6 s); the iterates alone certified
+    # 8 of these 60 draws.
+    rng = np.random.default_rng(2016)
+    answered = 0
+    for s in (30.0, 40.0, 50.0):
+        for _ in range(20):
+            d = perfectly_correlated(6, float(rng.uniform(0.1, 0.9)))
+            eps = s * rng.uniform(0.05, 1.0, 6)
+            truth = math.fsum(eps)
+            try:
+                cert = nu_exact(d, PrivacyBudget(eps), int(rng.integers(6)))
+            except LPError as exc:
+                bounds = re.search(r"nu in \[(\S+), (\S+)\]", str(exc))
+                assert bounds, str(exc)
+                lower, upper = (float(v) for v in bounds.groups())
+                assert lower <= truth + 1e-9 and truth - 1e-9 <= upper
+            else:
+                answered += 1
+                assert abs(cert.nu - truth) <= 1e-9
+    assert answered >= 40
 
 
 def test_pivot_limit_product_gives_own_budget():

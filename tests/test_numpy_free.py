@@ -23,9 +23,9 @@ ISING_ARGV = [
     ["ising", "sweep", "--J-grid", "0.2,0.7", "--eps-grid", "0.1,0.5", "--h0", "0.1", "--d", "2"],
 ]
 
-# The names `import infera` exported before they resolved lazily.
+# Every public name of the package.
 PUBLIC = {
-    "BetheSolution", "ClosedFormResult", "DobrushinBound", "EventProfile", "InfluenceMatrix",
+    "ClosedFormResult", "DobrushinBound", "EventProfile", "InfluenceMatrix",
     "IsingPrior", "IsingTreeModel", "JointDistribution", "NuCertificate", "PrivacyBudget",
     "bethe_fixed_point", "conditional_means", "critical_coupling", "dobrushin_bounds",
     "dp_audit", "enforceable_epsilon", "from_dense", "influence_matrix",
@@ -34,7 +34,7 @@ PUBLIC = {
     "nu_closed_form", "nu_exact", "nu_gibbs", "nu_of_max_biased", "nu_tree",
     "parity_constrained", "parity_mechanism_m1_profile", "perfectly_correlated", "product",
     "product_ratio_bound", "random_affiliated", "sample_noisy_sum", "sensitivity_profile",
-    "spectral_norm",
+    "spectral_norm", "tree_prior",
 }
 
 # Runs each argv through cli.main with numpy unimportable and prints
