@@ -33,7 +33,7 @@ _EXPORTS = {
         "sample_noisy_sum",
     ),
     "lp_exact": ("NuCertificate", "nu_exact"),
-    "affiliated": ("ClosedFormResult", "nu_closed_form", "nu_of_max_biased", "random_affiliated"),
+    "affiliated": ("ClosedFormResult", "nu_closed_form", "random_affiliated"),
     "influence": (
         "DobrushinBound",
         "InfluenceMatrix",

@@ -66,8 +66,8 @@ def nu_closed_form(
     """Evaluate both branches and return the larger one.
 
     Raises NotAffiliated (with a witness pair) when the prior fails the
-    affiliation check: off that family the biased-profile value
-    (`nu_of_max_biased`) can understate the leakage.  Ties report z = 0.
+    affiliation check: off that family the biased-profile value can
+    understate the leakage.  Ties report z = 0.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("closed form requires binary coordinates")
@@ -92,17 +92,6 @@ def nu_closed_form(
         denominator=den,
         branch_values=values,
     )
-
-
-def nu_of_max_biased(
-    dist: JointDistribution, budget: PrivacyBudget, a: int, z: int
-) -> float:
-    """Signed log ratio Pr(event | x_a = z) / Pr(event | x_a = 1 - z)
-    for the event of the maximally z-biased mechanism."""
-    if dist.alphabet_size != 2:
-        raise UnsupportedAlphabet("biased profiles require binary coordinates")
-    num, den = _branch(dist, budget, a, z)
-    return math.log(num) - math.log(den)
 
 
 def random_affiliated(n: int, rng: np.random.Generator) -> JointDistribution:

@@ -30,7 +30,7 @@ from .bethe import (
     sensitivity_profile,
 )
 from .errors import (InferaError, NotAffiliated, ParseError, SpectralNormTooLarge,
-                     UnsupportedAlphabet)
+                     UnboundedInfluence, UnsupportedAlphabet)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -71,15 +71,12 @@ def _write(text: str, args) -> None:
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
-    """The comma-separated numbers given to `flag`; ParseError when one is
-    not a number or there are none."""
+    """The comma-separated numbers given to `flag`; ParseError when any
+    field, an empty one included, is not a number."""
     try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
+        return [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad {flag} value: {text}") from exc
-    if not values:
-        raise ParseError(f"{flag} needs at least one number")
-    return values
 
 
 def _parse_eps(text: str, n: int):
@@ -222,18 +219,11 @@ def cmd_bound(args, report: dict) -> int:
     budget = _parse_eps(args.eps, dist.n)
     results = report["results"]
     matrix = influence_matrix(dist)
-    results["gamma"] = [
-        [(v if math.isfinite(v) else "inf") for v in row] for row in matrix.gamma
-    ]
-    if matrix.unbounded:
-        report["warnings"].append(
-            "influence matrix has unbounded entries; no bound applies"
-        )
-        return EXIT_OK
-    results["spectral_norm"] = spectral_norm(matrix.gamma)
+    results["gamma"] = matrix.gamma
     try:
+        results["spectral_norm"] = spectral_norm(matrix.gamma)
         bound = dobrushin_bounds(matrix, budget)
-    except SpectralNormTooLarge as exc:
+    except (UnboundedInfluence, SpectralNormTooLarge) as exc:
         report["warnings"].append(str(exc))
         return EXIT_OK
     results["nu_bound"] = list(bound.nu_bound)

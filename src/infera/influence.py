@@ -31,6 +31,7 @@ import numpy as np
 from .dist import JointDistribution, cell_tensor
 from .errors import (
     DegenerateDistribution,
+    DimensionMismatch,
     NoConvergence,
     SpectralNormTooLarge,
     UnboundedInfluence,
@@ -95,17 +96,16 @@ def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value; raises UnboundedInfluence on infinite entries."""
     m = np.asarray(matrix, dtype=np.float64)
     if np.any(np.isinf(m)):
-        raise UnboundedInfluence("matrix has unbounded entries")
+        raise UnboundedInfluence("matrix has unbounded entries; no bound applies")
     return float(np.linalg.norm(m, 2))
 
 
 def dobrushin_bounds(matrix: InfluenceMatrix, budget: PrivacyBudget) -> DobrushinBound:
-    """Inference bounds from the influence matrix; needs spectral norm < 1."""
+    """Inference bounds from the influence matrix; needs spectral norm < 1
+    (raises UnboundedInfluence or SpectralNormTooLarge otherwise)."""
     gamma = matrix.gamma
-    if matrix.unbounded:
-        raise UnboundedInfluence("influence matrix has unbounded entries")
     if budget.n != matrix.n:
-        raise DegenerateDistribution("budget length differs from matrix size")
+        raise DimensionMismatch("budget length differs from matrix size")
     s = spectral_norm(gamma)
     if s >= 1.0:
         raise SpectralNormTooLarge(f"spectral norm {s} >= 1")

@@ -151,17 +151,14 @@ def parity_mechanism_m1_profile(r: int, s: int, eps: float) -> EventProfile:
 def dp_audit(profile: EventProfile) -> PrivacyBudget:
     """Tightest per-coordinate budget the profile satisfies.
 
-    eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i.
+    eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i: the
+    widest range of ln m along coordinate i over the other coordinates.
     """
-    a = profile.alphabet_size
     logs = np.log(profile.values)
-    eps = np.zeros(profile.n)
-    for i in range(profile.n):
-        swept = faces(logs, profile.n, a, i)
-        for u in range(a):
-            for v in range(u + 1, a):
-                eps[i] = max(eps[i], float(np.max(np.abs(swept[u] - swept[v]))))
-    return PrivacyBudget(eps)
+    return PrivacyBudget([
+        float(np.ptp(faces(logs, profile.n, profile.alphabet_size, i), axis=0).max())
+        for i in range(profile.n)
+    ])
 
 
 def mechanism_nu(dist: JointDistribution, profile: EventProfile, a: int) -> float:
@@ -169,28 +166,18 @@ def mechanism_nu(dist: JointDistribution, profile: EventProfile, a: int) -> floa
 
     This is the largest ln of the ratio Pr(event | x_a = z1) /
     Pr(event | x_a = z0) over ordered pairs of supported values, the
-    conditional probabilities being taken under the prior.  Returns
-    math.inf when some ratio has zero denominator and a positive
-    numerator.
+    conditional probabilities being taken under the prior: ln of the
+    largest conditional mean over the smallest.  Returns math.inf when
+    the smallest is 0 and the largest positive.
     """
     if (profile.n, profile.alphabet_size) != (dist.n, dist.alphabet_size):
         raise DimensionMismatch("mechanism and prior shapes differ")
     masses, means = conditional_means(dist, profile.values, a)
-    supported = [z for z, mass in enumerate(masses) if mass > 0.0]
-    best = 0.0
-    unbounded = False
-    for z0 in supported:
-        for z1 in supported:
-            if z0 == z1:
-                continue
-            num, den = means[z1], means[z0]
-            if den == 0.0:
-                # Profile entries are positive, but a conditional mean can
-                # still underflow: a uniform prior on two bits with
-                # m = 5e-324 on the x_0 = 0 face gives 0 here.
-                unbounded = unbounded or num > 0.0
-                continue
-            if num <= 0.0:
-                continue
-            best = max(best, math.log(num) - math.log(den))
-    return math.inf if unbounded else best
+    supported = [mean for mass, mean in zip(masses, means) if mass > 0.0]
+    top, bottom = max(supported), min(supported)
+    if bottom == 0.0:
+        # Profile entries are positive, but a conditional mean can still
+        # underflow: a uniform prior on two bits with m = 5e-324 on the
+        # x_0 = 0 face gives 0 here.
+        return math.inf if top > 0.0 else 0.0
+    return math.log(top) - math.log(bottom)

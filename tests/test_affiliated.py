@@ -8,12 +8,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bit_table, random_budget, random_dp_profile, random_prior
-from infera.affiliated import (
-    nu_closed_form,
-    nu_of_max_biased,
-    random_affiliated,
-)
+from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import (
+    conditional_means,
     from_dense,
     is_positively_affiliated,
     parity_constrained,
@@ -21,7 +18,7 @@ from infera.dist import (
     product,
 )
 from infera.errors import DimensionMismatch, NotAffiliated, UndefinedRatio
-from infera.ising import IsingTreeModel, ising_tree_distribution
+from infera.ising import tree_prior
 from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget, max_biased_profile, mechanism_nu
 
@@ -56,8 +53,8 @@ def test_result_internal_consistency():
 
 
 def test_matches_lp_on_tree():
-    model = IsingTreeModel(d=2, depth=2, J=0.3, h0=0.1)
-    dist = ising_tree_distribution(model)
+    model = tree_prior(d=2, depth=2, J=0.3, h0=0.1)
+    dist = model.dense()
     b = PrivacyBudget.uniform(model.n, 0.2)
     for a in (0, 1, 3):
         lhs = nu_closed_form(dist, b, a).nu
@@ -91,9 +88,7 @@ def test_closed_form_equals_biased_profile_leakage():
         b = random_budget(rng, n)
         a = int(rng.integers(n))
         res = nu_closed_form(d, b, a)
-        direct = max(
-            abs(nu_of_max_biased(d, b, a, z)) for z in (0, 1)
-        )
+        direct = max(mechanism_nu(d, max_biased_profile(n, b, z), a) for z in (0, 1))
         assert abs(res.nu - direct) <= 1e-12
         prof = max_biased_profile(n, b, res.winning_z)
         assert abs(mechanism_nu(d, prof, a) - res.nu) <= 1e-12
@@ -116,28 +111,28 @@ def test_parity_biased_profile_stays_small():
     d = parity_constrained(2, 2)
     b = PrivacyBudget.uniform(5, 0.2)
     for z in (0, 1):
-        assert abs(nu_of_max_biased(d, b, 0, z)) <= 0.36 + 1e-9
+        assert mechanism_nu(d, max_biased_profile(5, b, z), 0) <= 0.36 + 1e-9
 
 
 def test_biased_profile_flip_symmetry():
     # Flipping every bit maps the z = 0 branch onto the z = 1 branch.
     d = perfectly_correlated(3, 0.5)
     b = PrivacyBudget.uniform(3, 0.4)
-    v0 = nu_of_max_biased(d, b, 0, 0)
-    v1 = nu_of_max_biased(d, b, 0, 1)
+    v0 = mechanism_nu(d, max_biased_profile(3, b, 0), 0)
+    v1 = mechanism_nu(d, max_biased_profile(3, b, 1), 0)
     assert abs(v0 - v1) <= 1e-12
 
 
 def test_biased_profile_signed_value():
     # Biasing toward 0 on a strongly anti-correlated pair shifts the
-    # posterior toward 1, so the signed log ratio goes negative while
-    # its magnitude is still the profile's leakage.
+    # posterior toward 1, so the event is likelier given x_0 = 1 while
+    # the magnitude of the log ratio is still the profile's leakage.
     d = from_dense(2, 2, np.array([0.05, 0.45, 0.45, 0.05]))
     b = PrivacyBudget(np.array([0.01, 2.0]))
-    v = nu_of_max_biased(d, b, 0, 0)
-    assert v < 0
     prof = max_biased_profile(2, b, 0)
-    assert abs(abs(v) - mechanism_nu(d, prof, 0)) <= 1e-12
+    _, (mean0, mean1) = conditional_means(d, prof.values, 0)
+    assert mean0 < mean1
+    assert abs(math.log(mean1) - math.log(mean0) - mechanism_nu(d, prof, 0)) <= 1e-12
 
 
 def test_random_affiliated_is_affiliated():
@@ -161,13 +156,10 @@ def test_closed_form_rejects_out_of_range_target():
 def test_underflowing_branch_is_a_typed_error():
     # At eps = 1000 every database off the biased value weighs e^-1000 = 0
     # in floats, so the denominator mean vanishes and no finite nu is sound.
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    d = tree_prior(d=2, depth=1, J=0.3).dense()
     b = PrivacyBudget.uniform(3, 1000.0)
     with pytest.raises(UndefinedRatio):
         nu_closed_form(d, b, 0)
-    for z in (0, 1):
-        with pytest.raises(UndefinedRatio):
-            nu_of_max_biased(d, b, 0, z)
 
 
 @st.composite

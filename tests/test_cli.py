@@ -152,6 +152,30 @@ def test_nu_rejects_bad_eps_arity(write_json, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["1,,2,3", "0.2,", ",0.2", ""])
+def test_nu_refuses_an_empty_eps_field(write_json, capsys, eps):
+    # Dropping the empty field would move every later budget onto the
+    # wrong site; a trailing comma is refused as well.
+    path = write_json("tree3.json", TREE3)
+    code = main(["nu", "--dist", path, "--eps", eps, "--method", "gibbs"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--eps" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ising", "sensitivity", "--J", "0.3", "--h0", "0.1", "--d", "2", "--eps-list", "0.2,,1"],
+     "--eps-list"),
+    (["ising", "sweep", "--J-grid", "0.3", "--eps-grid", "0.2,", "--d", "2"], "--eps-grid"),
+    (["ising", "sweep", "--J-grid", "0.3,,0.5", "--eps-grid", "0.2", "--d", "2"], "--J-grid"),
+], ids=["eps-list", "eps-grid", "J-grid"])
+def test_ising_lists_refuse_an_empty_field(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and flag in captured.err
+
+
 def test_nu_gibbs_needs_tree_file(write_json, capsys):
     path = write_json("product.json", PRODUCT)
     assert main(["nu", "--dist", path, "--eps", "0.2", "--method", "gibbs"]) == 2

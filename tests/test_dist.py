@@ -27,9 +27,9 @@ from infera.errors import (
     UnsupportedAlphabet,
     ZeroMass,
 )
-from infera.affiliated import nu_of_max_biased, random_affiliated
+from infera.affiliated import nu_closed_form, random_affiliated
 from infera.mechanism import PrivacyBudget
-from infera.ising import IsingTreeModel, ising_tree_distribution
+from infera.ising import tree_prior
 
 
 def test_from_dense_normalizes():
@@ -163,7 +163,7 @@ def test_conditional_slice_zero_probability_event():
     assert masses == [0.0, 1.0]
     assert math.isnan(means[0]) and means[1] == 1.0
     with pytest.raises(InsufficientSupport):
-        nu_of_max_biased(d, PrivacyBudget.uniform(2, 0.5), 0, 0)
+        nu_closed_form(d, PrivacyBudget.uniform(2, 0.5), 0)
 
 
 def test_conditional_slice_argument_checks():
@@ -191,8 +191,8 @@ def test_slice_reconstruction_random():
 
 
 def test_affiliated_ising_tree_prior():
-    model = IsingTreeModel(d=2, depth=2, J=0.3, h0=0.1)
-    ok, _ = is_positively_affiliated(ising_tree_distribution(model))
+    model = tree_prior(d=2, depth=2, J=0.3, h0=0.1)
+    ok, _ = is_positively_affiliated(model.dense())
     assert ok
 
 

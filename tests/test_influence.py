@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_budget, random_prior
 from infera.dist import from_dense, perfectly_correlated, product
 from infera.errors import (
+    DimensionMismatch,
     SpectralNormTooLarge,
     UnboundedInfluence,
 )
@@ -25,7 +26,7 @@ from infera.influence import (
     product_ratio_bound,
     spectral_norm,
 )
-from infera.ising import IsingTreeModel, ising_tree_distribution
+from infera.ising import tree_prior
 from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget
 
@@ -122,8 +123,8 @@ def test_matches_oracle_on_random_priors():
 
 def test_tree_entries_closed_form():
     J = 0.2
-    model = IsingTreeModel(d=2, depth=2, J=J, h0=0.0)
-    d = ising_tree_distribution(model)
+    model = tree_prior(d=2, depth=2, J=J, h0=0.0)
+    d = model.dense()
     got = influence_matrix(d).gamma
     # A node's conditional given everything else sees only its neighbors,
     # and the worst context minimizes the surrounding field.  With m other
@@ -245,6 +246,11 @@ def test_rejects_supercritical_matrix():
     gamma = np.array([[0.0, 1.2], [1.2, 0.0]])
     with pytest.raises(SpectralNormTooLarge):
         dobrushin_bounds(InfluenceMatrix(gamma), PrivacyBudget.uniform(2, 0.1))
+
+
+def test_budget_of_the_wrong_length_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        dobrushin_bounds(InfluenceMatrix(np.zeros((2, 2))), PrivacyBudget.uniform(3, 0.1))
 
 
 def test_bound_soundness_on_weak_priors():

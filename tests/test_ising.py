@@ -20,7 +20,7 @@ from infera.bethe import (
 from infera.dist import is_positively_affiliated
 from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from infera.ising import (
-    IsingPrior, IsingTreeModel, ising_tree_distribution, nu_gibbs, nu_tree, tree_prior,
+    IsingPrior, nu_gibbs, nu_tree, tree_prior,
 )
 from infera.mechanism import PrivacyBudget
 
@@ -135,9 +135,9 @@ def test_tree_prior_refuses_past_the_site_cap_before_building():
     with pytest.raises(SizeCap, match="cap of 1048576"):
         tree_prior(2, 70, 0.3)
     with pytest.raises(SizeCap):
-        nu_gibbs(IsingTreeModel(d=2, depth=40, J=0.3), 0.2, 0)
+        nu_gibbs(tree_prior(d=2, depth=40, J=0.3), 0.2, 0)
     with pytest.raises(SizeCap):
-        ising_tree_distribution(IsingTreeModel(d=2, depth=70, J=0.3))
+        tree_prior(d=2, depth=70, J=0.3).dense()
     assert tree_prior(2, 3, 0.3, cap=15).n == 15
     with pytest.raises(SizeCap):
         tree_prior(2, 3, 0.3, cap=14)
@@ -145,16 +145,16 @@ def test_tree_prior_refuses_past_the_site_cap_before_building():
 
 def test_distribution_size_cap():
     with pytest.raises(SizeCap):
-        ising_tree_distribution(IsingTreeModel(d=2, depth=3, J=0.2), cap=1000)
+        tree_prior(d=2, depth=3, J=0.2).dense(cap=1000)
 
 
 def test_weak_coupling_is_nearly_uniform():
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=1e-9))
+    d = tree_prior(d=2, depth=1, J=1e-9).dense()
     assert np.allclose(d.probs, 1.0 / 8.0, rtol=0, atol=1e-8)
 
 
 def test_zero_field_flip_symmetry():
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=2, J=0.4))
+    d = tree_prior(d=2, depth=2, J=0.4).dense()
     # Global spin flip reverses the little-endian cell order.
     assert np.allclose(d.probs, d.probs[::-1], rtol=0, atol=1e-15)
 
@@ -164,8 +164,8 @@ def test_matches_edge_copy_process():
     # the tree, each child copying its parent with probability
     # (1 + tanh J) / 2.
     J = 0.35
-    m = IsingTreeModel(d=2, depth=2, J=J)
-    d = ising_tree_distribution(m)
+    m = tree_prior(d=2, depth=2, J=J)
+    d = m.dense()
     p = 0.5 * (1.0 + math.tanh(J))
     want = np.empty(2**m.n)
     for idx in range(2**m.n):
@@ -185,7 +185,7 @@ def test_dense_forest_prior_matches_its_energy():
 
 
 def test_tree_prior_is_affiliated():
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=2, J=0.5, h0=-0.2))
+    d = tree_prior(d=2, depth=2, J=0.5, h0=-0.2).dense()
     ok, witness = is_positively_affiliated(d)
     assert ok and witness is None
 
@@ -194,7 +194,7 @@ def test_tree_prior_is_affiliated():
 
 def test_root_ratio_against_enumeration():
     J, h = 0.3, 0.1
-    m = IsingTreeModel(d=2, depth=2, J=J, h0=h)
+    m = tree_prior(d=2, depth=2, J=J, h0=h)
     want = math.log(_enumerate_ratio(m.n, _edges(m), J, h))
     assert abs(_root_log_odds(2, 2, J, h) - want) <= 1e-12 * want
 
@@ -202,24 +202,24 @@ def test_root_ratio_against_enumeration():
 # --- site leakage on finite trees ----------------------------------------
 
 def test_nu_gibbs_frozen_value():
-    m = IsingTreeModel(d=2, depth=2, J=0.3, h0=0.1)
+    m = tree_prior(d=2, depth=2, J=0.3, h0=0.1)
     assert abs(nu_gibbs(m, 0.2, 0) - 0.38281695005229466) <= 1e-9
 
 
 def test_nu_gibbs_zero_field_identity():
-    m = IsingTreeModel(d=2, depth=2, J=0.4)
+    m = tree_prior(d=2, depth=2, J=0.4)
     eps = 0.3
     want = math.log(_enumerate_ratio(m.n, _edges(m), 0.4, 0.5 * eps))
     assert abs(nu_gibbs(m, eps, 0) - want) <= 1e-12
 
 
 def test_nu_gibbs_decoupled_limit():
-    m = IsingTreeModel(d=2, depth=2, J=1e-12, h0=0.2)
+    m = tree_prior(d=2, depth=2, J=1e-12, h0=0.2)
     assert abs(nu_gibbs(m, 0.3, 4) - 0.3) <= 1e-9
 
 
 def test_nu_gibbs_rejects_bad_budget():
-    m = IsingTreeModel(d=2, depth=1, J=0.3)
+    m = tree_prior(d=2, depth=1, J=0.3)
     with pytest.raises(DimensionMismatch):
         nu_gibbs(m, 0.0, 0)
 
@@ -227,7 +227,7 @@ def test_nu_gibbs_rejects_bad_budget():
 @pytest.mark.parametrize("eps", [5.0, 100.0, 1000.0])
 def test_nu_gibbs_huge_budget_matches_enumeration(eps):
     # The dense closed form underflows at eps = 1000; the log domain does not.
-    m = IsingTreeModel(d=2, depth=1, J=0.3)
+    m = tree_prior(d=2, depth=1, J=0.3)
     want = _enumerate_nu(m.n, _edges(m), [0.3] * 2, [0.0] * m.n, [eps] * m.n)
     for site in range(m.n):
         assert abs(nu_gibbs(m, eps, site) - want[site]) <= 1e-12 * want[site]
@@ -235,7 +235,7 @@ def test_nu_gibbs_huge_budget_matches_enumeration(eps):
 
 
 def test_nu_gibbs_rejects_bad_site():
-    m = IsingTreeModel(d=2, depth=1, J=0.3)
+    m = tree_prior(d=2, depth=1, J=0.3)
     for site in (3, -1):
         with pytest.raises(DimensionMismatch):
             nu_gibbs(m, 0.3, site)
@@ -338,9 +338,9 @@ def test_nu_tree_refuses_a_leakage_below_the_budget():
     # Every site leaks at least its budget.  At h0 = 1e8 the field
     # h0 + eps/2 rounds back to h0, which would read nu = 0.
     with pytest.raises(UndefinedRatio, match="site 0"):
-        nu_gibbs(IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8), 1e-10, 0)
+        nu_gibbs(tree_prior(d=2, depth=1, J=0.3, h0=1e8), 1e-10, 0)
     # A budget the fields can hold still answers.
-    assert nu_gibbs(IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8), 1.0, 0) == 1.0
+    assert nu_gibbs(tree_prior(d=2, depth=1, J=0.3, h0=1e8), 1.0, 0) == 1.0
 
 
 @pytest.mark.parametrize("eps", [1e-7, 3e-7, 1e-6])
@@ -348,7 +348,7 @@ def test_nu_tree_refuses_a_budget_its_fields_round(eps):
     # At h0 = 1e8, where floats are 1.5e-8 apart, h0 + eps/2 rounds
     # enough to read 8.94e-8 at eps = 1e-7 and 1.0133e-6 at eps = 1e-6;
     # the saturated leaves pass nothing back, so the true leakage is eps.
-    model = IsingTreeModel(d=2, depth=1, J=0.3, h0=1e8)
+    model = tree_prior(d=2, depth=1, J=0.3, h0=1e8)
     try:
         nu = nu_gibbs(model, eps, 0)
     except UndefinedRatio as exc:

@@ -10,7 +10,7 @@ from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
 from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
-from infera.ising import IsingTreeModel, ising_tree_distribution
+from infera.ising import tree_prior
 from infera.lp_exact import GAP_TOL, nu_exact
 from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from lp_oracle import nu_grid_search, nu_vertex_enumeration
@@ -152,12 +152,12 @@ def test_build_lp_rejects_budget_of_wrong_length():
 
 def test_budget_past_exp_range_is_a_typed_error():
     # e^800 overflows a float; the LP cannot hold the ratio constraint.
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    d = tree_prior(d=2, depth=1, J=0.3).dense()
     with pytest.raises(LPError, match="overflows"):
         nu_exact(d, PrivacyBudget.uniform(3, 800.0), 0)
 
 def test_budget_past_the_certifiable_range_names_both_bounds():
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    d = tree_prior(d=2, depth=1, J=0.3).dense()
     with pytest.raises(LPError, match=r"nu in \[[0-9.e+]+, [0-9.e+]+\]"):
         nu_exact(d, PrivacyBudget.uniform(3, 700.0), 0)
 
@@ -165,7 +165,7 @@ def test_budget_past_the_certifiable_range_names_both_bounds():
 @pytest.mark.parametrize("eps", [5.0, 8.0, 10.0, 20.0, 50.0, 100.0])
 def test_tree_matches_closed_form_at_large_budgets(eps):
     # The optimal profile spans a factor e^(2 eps); the LP stays bounded.
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    d = tree_prior(d=2, depth=1, J=0.3).dense()
     b = PrivacyBudget.uniform(3, eps)
     cert = nu_exact(d, b, 0)
     assert abs(cert.nu - nu_closed_form(d, b, 0).nu) <= 1e-9

@@ -1,15 +1,18 @@
 """Profiles, budgets, auditing, and fixed-mechanism leakage."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bit_table, random_budget, random_dp_profile, random_prior
-from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
+from infera.dist import conditional_means, from_dense, parity_constrained, perfectly_correlated, product
 from infera.affiliated import nu_closed_form
 from infera.errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
-from infera.ising import IsingTreeModel, ising_tree_distribution
+from infera.ising import tree_prior
 from infera.lp_exact import nu_exact
 from infera.mechanism import (
     EventProfile,
@@ -258,7 +261,7 @@ def test_nu_unbounded_on_vanishing_denominator():
 def test_biased_replay_keeps_large_finite_ratios(eps):
     # At eps 50 the two conditional means differ by a factor of about
     # e^51: a large ratio, not an unbounded one.
-    d = ising_tree_distribution(IsingTreeModel(d=2, depth=1, J=0.3))
+    d = tree_prior(d=2, depth=1, J=0.3).dense()
     b = PrivacyBudget.uniform(3, eps)
     cf = nu_closed_form(d, b, 0)
     replay = mechanism_nu(d, max_biased_profile(3, b, cf.winning_z), 0)
@@ -270,3 +273,49 @@ def test_mechanism_shape_mismatch():
     p = EventProfile(n=1, alphabet_size=2, values=np.array([1.0, 0.5]))
     with pytest.raises(DimensionMismatch):
         mechanism_nu(d, p, 0)
+
+
+@st.composite
+def _prior_profile_target(draw):
+    """A prior with zero cells over alphabet 2 or 3, a profile spanning up
+    to e^800 with entries floored at 5e-324, and a target coordinate."""
+    alphabet = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4 if alphabet == 2 else 3))
+    cells = alphabet**n
+    weight = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(weight, min_size=cells, max_size=cells))
+    if not any(w > 0.0 for w in weights):
+        weights[0] = 1.0
+    log_m = st.sampled_from([0.0, -744.0, -800.0]) | st.floats(-800.0, 0.0)
+    values = np.maximum(np.exp(draw(st.lists(log_m, min_size=cells, max_size=cells))), 5e-324)
+    profile = EventProfile(n=n, alphabet_size=alphabet, values=values)
+    return from_dense(n, alphabet, weights), profile, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_prior_profile_target())
+def test_nu_and_audit_match_their_pairwise_definitions(case):
+    d, profile, a = case
+    # nu: the largest ln ratio of conditional means over ordered pairs of
+    # supported values, unbounded when a zero mean faces a positive one.
+    masses, means = conditional_means(d, profile.values, a)
+    pairwise, unbounded = 0.0, False
+    for z0, z1 in itertools.permutations(range(d.alphabet_size), 2):
+        if masses[z0] > 0.0 and masses[z1] > 0.0 and means[z1] > 0.0:
+            if means[z0] == 0.0:
+                unbounded = True
+            else:
+                pairwise = max(pairwise, math.log(means[z1]) - math.log(means[z0]))
+    assert mechanism_nu(d, profile, a) == (math.inf if unbounded else pairwise)
+    # eps_i: the largest |ln m(x) - ln m(x')| over cells x, x' that differ
+    # only at coordinate i.
+    logs = np.log(profile.values)
+    alphabet, eps = d.alphabet_size, [0.0] * d.n
+    for i in range(d.n):
+        step = alphabet**i
+        for x in range(alphabet**d.n):
+            digit = x // step % alphabet
+            for v in range(alphabet):
+                x2 = x + (v - digit) * step
+                eps[i] = max(eps[i], abs(float(logs[x] - logs[x2])))
+    assert dp_audit(profile).eps.tolist() == eps

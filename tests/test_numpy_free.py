@@ -31,7 +31,7 @@ PUBLIC = {
     "dp_audit", "enforceable_epsilon", "from_dense", "influence_matrix",
     "is_pairwise_positively_correlated", "is_positively_affiliated", "ising_tree_distribution",
     "max_biased_profile", "mechanism_nu", "noisy_sum_tail_profile", "nu_bethe_limit",
-    "nu_closed_form", "nu_exact", "nu_gibbs", "nu_of_max_biased", "nu_tree",
+    "nu_closed_form", "nu_exact", "nu_gibbs", "nu_tree",
     "parity_constrained", "parity_mechanism_m1_profile", "perfectly_correlated", "product",
     "product_ratio_bound", "random_affiliated", "sample_noisy_sum", "sensitivity_profile",
     "spectral_norm", "tree_prior",
