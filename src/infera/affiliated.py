@@ -13,20 +13,22 @@ and the parameter is max(nu_0, nu_1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import (
     JointDistribution,
+    biased_means,
     check_coordinate,
-    conditional_means,
     digit_table,
     from_dense,
     is_positively_affiliated,
 )
-from .errors import InsufficientSupport, NotAffiliated, UndefinedRatio, UnsupportedAlphabet
-from .mechanism import PrivacyBudget, max_biased_values
+from .errors import (DimensionMismatch, InsufficientSupport, NotAffiliated, UndefinedRatio,
+                     UnsupportedAlphabet)
+from .mechanism import PrivacyBudget
 
 
 @dataclass(frozen=True)
@@ -38,22 +40,24 @@ class ClosedFormResult:
     branch_values: tuple
 
 
-def _branch(dist: JointDistribution, budget: PrivacyBudget, a: int, z: int):
+def _branch(masses, means, eps_a: float, a: int, z: int):
     """Numerator and denominator of the z branch, before the log:
-    E[m_z | x_a = z] and E[m_z | x_a = 1 - z].
+    E[m_z | x_a = z] and E[m_z | x_a = 1 - z], from `biased_means`, whose
+    means leave out the factor e^-eps_a that m_z puts on the face
+    x_a = 1 - z.
 
     Both are positive in exact arithmetic; raises UndefinedRatio when the
-    budget is large enough that one underflows to 0.
+    budget is large enough that one falls below the smallest normal
+    float, where it would keep few or no significant digits.
     """
-    masses, means = conditional_means(dist, max_biased_values(dist.n, budget, z), a)
     for v in (z, 1 - z):
         if masses[v] == 0.0:
             raise InsufficientSupport(f"Pr(x_{a} = {v}) = 0")
-    num, den = means[z], means[1 - z]
-    if num == 0.0 or den == 0.0:
+    num, den = float(means[z, z]), math.exp(-eps_a) * float(means[z, 1 - z])
+    if min(num, den) < sys.float_info.min:
         raise UndefinedRatio(
             f"the {z}-biased branch at x_{a} has conditional means {num} / {den}; "
-            "one underflowed to 0, the budget is too large for the closed form"
+            "one underflowed, the budget is too large for the closed form"
         )
     return num, den
 
@@ -78,9 +82,12 @@ def nu_closed_form(
             f"prior is not positively affiliated; witness {witness}",
             witness=witness,
         )
+    if budget.n != dist.n:
+        raise DimensionMismatch("budget length must equal n")
+    masses, means = biased_means(dist, budget.eps, a)
     branches = []
     for z in (0, 1):
-        num, den = _branch(dist, budget, a, z)
+        num, den = _branch(masses, means, float(budget.eps[a]), a, z)
         branches.append((abs(math.log(num) - math.log(den)), num, den))
     values = (branches[0][0], branches[1][0])
     winning_z = 0 if branches[0][0] >= branches[1][0] else 1

@@ -29,7 +29,7 @@ from .bethe import (
     nu_bethe_limit,
     sensitivity_profile,
 )
-from .errors import (InferaError, NotAffiliated, ParseError, SpectralNormTooLarge,
+from .errors import (InferaError, NotAffiliated, ParseError, SizeCap, SpectralNormTooLarge,
                      UnboundedInfluence, UnsupportedAlphabet)
 
 EXIT_OK = 0
@@ -193,16 +193,22 @@ def cmd_nu(args, report: dict) -> int:
     else:  # all
         dist = _dense(prior, cap)
         values = {}
-        cert = nu_exact(dist, budget, args.target, cap=lp_cap)
-        values["exact"] = cert.nu
+        try:
+            values["exact"] = nu_exact(dist, budget, args.target, cap=lp_cap).nu
+        except SizeCap as exc:
+            lp_refusal = exc
+            report["warnings"].append(f"exact LP skipped: {exc}")
         try:
             values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
         except (NotAffiliated, UnsupportedAlphabet) as exc:
             report["warnings"].append(f"closed form skipped: {exc}")
         if isinstance(prior, IsingPrior):
             values["gibbs"] = _tree_nu(prior, budget, args.target)
+        if not values:
+            raise lp_refusal
         results.update(values)
-        results["nu"] = cert.nu
+        # The certified value first, then the exact tree recursion.
+        results["nu"] = next(values[k] for k in ("exact", "gibbs", "closed_form") if k in values)
         spread = max(values.values()) - min(values.values())
         results["max_discrepancy"] = spread
         if spread > 1e-6:

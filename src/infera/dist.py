@@ -190,6 +190,36 @@ def conditional_means(dist: JointDistribution, values: np.ndarray, a: int):
     return masses, means
 
 
+def biased_means(dist: JointDistribution, eps: np.ndarray, a: int):
+    """(masses, means): Pr(x_a = v) for v in (0, 1), and the 2x2 array
+    means[z, v] = E[prod_{i != a} exp(-eps_i [x_i != z]) | x_a = v].
+
+    These are the conditional means of the maximally z-biased profile
+    without its x_a factor, computed without a profile.  Each face is
+    scaled by a power of 2 that brings its largest cell into [0.5, 1)
+    and stacked three times; the coordinates other than a are then
+    folded one at a time from the least significant, with the weights
+    (1, e^-eps_i) for z = 0, (e^-eps_i, 1) for z = 1 and (1, 1) for the
+    face's mass.  Every fold adds two nonnegative terms, so each sum
+    carries a few ulps of error per coordinate, and no term underflows
+    sooner than the mean it feeds.  The means of a face of mass 0 are nan.
+    """
+    if dist.alphabet_size != 2:
+        raise UnsupportedAlphabet("biased means require binary coordinates")
+    check_coordinate(dist.n, a)
+    face = faces(dist.probs, dist.n, 2, a)
+    scale = np.frexp(face.max(axis=1))[1]
+    t = np.broadcast_to(np.ldexp(face, -scale[:, None]), (3,) + face.shape)
+    for e in np.delete(eps, a):
+        w = math.exp(-e)
+        t = t.reshape(3, 2, -1, 2)
+        t = (t[..., 0] * np.array([1.0, w, 1.0])[:, None, None]
+             + t[..., 1] * np.array([w, 1.0, 1.0])[:, None, None])
+    sums = t.reshape(3, 2)
+    with np.errstate(invalid="ignore"):
+        return np.ldexp(sums[2], scale), sums[:2] / sums[2]
+
+
 # Pairs of supported cells the full lattice check may compare.  It runs
 # in row blocks of about _LATTICE_BLOCK pairs, so its temporaries stay
 # at a few MB whatever the support.
@@ -214,6 +244,11 @@ def is_positively_affiliated(dist: JointDistribution):
     member holds trivially), |support|**2 comparisons, and SizeCap is
     raised above LATTICE_PAIR_CAP of them.  Either way the first violating
     pair found is the witness.
+
+    Both scans compare logs, so a violation is found even where both of
+    its products underflow to 0.  The positive scan reads the log-odds of
+    each x_i from contiguous halves of one log table and flags a pair
+    (i, j) where they fall as x_j rises.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("affiliation check requires binary coordinates")
@@ -222,18 +257,27 @@ def is_positively_affiliated(dist: JointDistribution):
     return _lattice_scan(dist)
 
 
+# The 1e-12 relative slack of the lattice inequality, on its logs.
+_LOG_SLACK = math.log1p(-1e-12)
+
+
 def _adjacent_scan(dist: JointDistribution):
     n = dist.n
-    p = cell_tensor(dist.probs, n, 2)
+    logp = np.log(dist.probs)
     for i in range(n):
+        # Log-odds of x_i over the other coordinates, little-endian.
+        half = logp.reshape(-1, 2, 2**i)
+        odds = (half[:, 1] - half[:, 0]).reshape(-1)
         for j in range(i + 1, n):
-            # q[u, v] is the face x_i = u, x_j = v over the other n - 2
-            # coordinates; cell by cell, q[0, 0] is the meet and q[1, 1]
-            # the join of the pair q[1, 0], q[0, 1].
-            q = np.moveaxis(p, (i, j), (0, 1))
-            bad = q[1, 1] * q[0, 0] < q[1, 0] * q[0, 1] * (1.0 - 1e-12)
+            # x_j sits at position j - 1 of odds.  Where the log-odds
+            # fall as x_j rises, the cells x_i = 1 and x_j = 1 over that
+            # meet of the other n - 2 coordinates break the inequality.
+            pair = odds.reshape(-1, 2, 2 ** (j - 1))
+            bad = (pair[:, 1] - pair[:, 0]).reshape(-1) < _LOG_SLACK
             if np.any(bad):
-                rest = iter(np.argwhere(bad)[0].tolist())
+                # The first bad meet in lexicographic order of
+                # (x_0, x_1, ...), coordinates i and j left out.
+                rest = iter(np.argwhere(cell_tensor(bad, n - 2, 2))[0].tolist())
                 x = [0 if k in (i, j) else next(rest) for k in range(n)]
                 x1, x2 = list(x), list(x)
                 x1[i] = x2[j] = 1
@@ -243,18 +287,21 @@ def _adjacent_scan(dist: JointDistribution):
 
 def _lattice_scan(dist: JointDistribution):
     # On little-endian binary indices, bitwise or and and are join and meet.
-    p = dist.probs
-    cells = np.flatnonzero(p)
+    cells = np.flatnonzero(dist.probs)
     if cells.size**2 > LATTICE_PAIR_CAP:
         raise SizeCap(
             f"affiliation check on a prior with zero cells needs {cells.size}**2 "
             f"pair comparisons, cap {LATTICE_PAIR_CAP}"
         )
+    # In logs no product underflows; a zero join or meet of a supported
+    # pair is -inf, hence a violation.
+    with np.errstate(divide="ignore"):
+        logp = np.log(dist.probs)
     rows = max(1, _LATTICE_BLOCK // cells.size)
     for start in range(0, cells.size, rows):
         # The inequality is symmetric, so columns before the block are skipped.
         x, y = cells[start : start + rows, None], cells[None, start:]
-        bad = p[x | y] * p[x & y] < p[x] * p[y] * (1.0 - 1e-12)
+        bad = logp[x | y] + logp[x & y] < logp[x] + logp[y] + _LOG_SLACK
         if np.any(bad):
             r, c = np.argwhere(bad)[0]
             pair = (int(x[r, 0]), int(y[0, c]))
@@ -265,17 +312,18 @@ def _lattice_scan(dist: JointDistribution):
 def is_pairwise_positively_correlated(dist: JointDistribution) -> bool:
     """True when Cov(x_i, x_j) >= 0 for every pair i < j (up to 1e-12).
 
-    Reads Pr(x_i = 1) from the marginals and Pr(x_i = x_j = 1) as the sum
-    of one face of the cell tensor.
+    Reads Pr(x_i = 1) and Pr(x_i = x_j = 1) as sums of the contiguous
+    half of the cells where x_i = 1.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("pairwise correlation check requires binary coordinates")
     n = dist.n
-    p = cell_tensor(dist.probs, n, 2)
-    means = [float(dist.marginal_of(i)[1]) for i in range(n)]
+    means = [float(dist.probs.reshape(-1, 2, 2**i)[:, 1].sum()) for i in range(n)]
     for i in range(n):
+        # The cells with x_i = 1, little-endian over the other coordinates.
+        ones = dist.probs.reshape(-1, 2, 2**i)[:, 1].reshape(-1)
         for j in range(i + 1, n):
-            cross = float(np.moveaxis(p, (i, j), (0, 1))[1, 1].sum())
+            cross = float(ones.reshape(-1, 2, 2 ** (j - 1))[:, 1].sum())
             if cross < means[i] * means[j] - 1e-12:
                 return False
     return True

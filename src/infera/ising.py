@@ -176,11 +176,12 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     parent's.  O(n) work in as many numpy rounds as the forest is high.
 
     Every site leaks at least its own budget, so nu_a is floored at
-    eps_a.  Raises DimensionMismatch when the edges hold a cycle or the
-    budget has the wrong length, and UndefinedRatio when a field
-    overflows or the rounding of a site's fields (a few ulps of |h_a| +
-    eps_a/2 + the couplings at a, per term summed) is not small next to
-    its nu, as when a large field swallows the budget.  "Small" is 1e-6
+    eps_a; under an all-zero budget every site leaks exactly 0.  Raises
+    DimensionMismatch when the edges hold a cycle or the budget has the
+    wrong length, and UndefinedRatio when a field overflows or the
+    rounding of a site's fields (a few ulps of |h_a| + eps_a/2 + the
+    couplings at a, per term summed) is not small next to its nu, as
+    when a large field swallows a nonzero budget.  "Small" is 1e-6
     relative or 1e-12 absolute.
     """
     n = prior.n
@@ -227,6 +228,9 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
     if not np.all(np.isfinite(nu)):
         a = int(np.flatnonzero(~np.isfinite(nu))[0])
         raise UndefinedRatio(f"effective field at site {a} overflows a float")
+    if not np.any(budget.eps):
+        # The three field settings are one: every site leaks exactly 0.
+        return np.zeros(n)
     # Each term summed into a site's field rounds once, so nu_a carries
     # an error of a few ulps of everything summed there.
     load = np.abs(prior.h) + half + np.bincount(ends, np.concatenate([prior.J, prior.J]), n)

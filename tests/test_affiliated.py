@@ -208,3 +208,41 @@ def test_closed_form_matches_lp_whenever_check_passes(case):
         assert d.prob_of(join) * d.prob_of(meet) < d.prob_of(x1) * d.prob_of(x2)
         return
     assert abs(nu_closed_form(d, budget, a).nu - nu_exact(d, budget, a).nu) <= 1e-6
+
+
+@st.composite
+def _affiliated_priors(draw):
+    """Affiliated binary prior with n <= 8, a budget up to 5 per
+    coordinate, and a target.
+
+    Weights are log-supermodular (nonnegative couplings); the support is
+    every cell or the sublattice cut out by a few constraints x_i >= x_j,
+    on which they stay affiliated.  Both faces of every coordinate keep
+    a cell: the all-zeros and all-ones databases satisfy the constraints.
+    """
+    n = draw(st.integers(1, 8))
+    bits = bit_table(n)
+    theta = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    coupling = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
+    log_w = bits @ theta + np.einsum("ki,ij,kj->k", bits, np.triu(coupling.reshape(n, n), 1), bits)
+    keep = np.ones(2**n, dtype=bool)
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(pairs, max_size=3)):
+            keep &= bits[:, i] >= bits[:, j]
+    eps = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    a = draw(st.integers(0, n - 1))
+    return n, np.exp(log_w) * keep, PrivacyBudget(np.array(eps)), a
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_affiliated_priors())
+def test_closed_form_branches_are_the_biased_profiles_leakage(case):
+    # Each branch is, by definition, ln of the ratio of the conditional
+    # means of the maximally z-biased profile on the two faces of x_a.
+    n, w, budget, a = case
+    d = from_dense(n, 2, w)
+    res = nu_closed_form(d, budget, a)
+    for z in (0, 1):
+        want = mechanism_nu(d, max_biased_profile(n, budget, z), a)
+        assert abs(res.branch_values[z] - want) <= 1e-12 * want

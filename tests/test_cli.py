@@ -222,6 +222,50 @@ def test_nu_gibbs_refuses_a_budget_its_fields_swallow(write_json, capsys):
     assert captured.out == "" and "error: site 0 " in captured.err
 
 
+def test_nu_gibbs_answers_a_zero_budget(write_json, capsys):
+    # At eps = 0 the three field settings coincide and every site leaks
+    # exactly 0, however large the fields; at eps = 1e-9 the fields still
+    # swallow the budget.
+    path = write_json("tree.json", {"generator": "ising_tree",
+                                    "params": {"d": 2, "depth": 1, "J": 0.3, "h0": 1e4}})
+    for target in ("0", "2"):
+        code, report = _run(capsys, ["nu", "--dist", path, "--eps", "0", "--target", target,
+                                     "--method", "gibbs"])
+        assert code == 0
+        assert report["results"]["nu"] == 0.0
+    code = main(["nu", "--dist", path, "--eps", "1e-9", "--method", "gibbs"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "error: site 0 " in captured.err
+
+
+def test_nu_all_skips_an_lp_over_the_cap(write_json, capsys):
+    # 2**14 profile cells against the default LP cap of 2**11: the tree
+    # recursion and the closed form still answer.
+    path = write_json("tree15.json", {"generator": "ising_tree",
+                                      "params": {"d": 2, "depth": 3, "J": 0.3, "h0": 0.1}})
+    code, report = _run(capsys, ["nu", "--dist", path, "--eps", "0.2", "--method", "all"])
+    assert code == 0
+    res = report["results"]
+    assert "exact" not in res
+    assert abs(res["gibbs"] - res["closed_form"]) <= 1e-9
+    assert res["nu"] == res["gibbs"]
+    assert res["max_discrepancy"] <= 1e-9
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("exact LP skipped: LP over 2**14 profile cells")
+
+
+def test_nu_all_fails_when_no_method_answers(write_json, capsys):
+    # Nine ternary coordinates: the LP is over the cap, the closed form
+    # needs binary coordinates and the prior is not a tree.
+    path = write_json("ternary.json", {"generator": "product",
+                                       "params": {"marginals": [[0.2, 0.3, 0.5]] * 9}})
+    code = main(["nu", "--dist", path, "--eps", "0.1", "--method", "all"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: LP over")
+
+
 @pytest.mark.parametrize("argv", [
     ["check"],
     ["bound", "--eps", "0.2"],

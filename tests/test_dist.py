@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
@@ -403,3 +405,95 @@ def test_lattice_check_refuses_large_supports(monkeypatch):
     ok, witness = is_positively_affiliated(d)
     assert not ok
     _assert_breaks_lattice(d, witness)
+
+
+def _log_lattice_holds(p):
+    """_lattice_holds on logs, where no product underflows."""
+    idx = np.arange(p.size)
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    lhs = logp[np.bitwise_or.outer(idx, idx)] + logp[np.bitwise_and.outer(idx, idx)]
+    rhs = logp[:, None] + logp[None, :]
+    return bool(np.all((lhs >= rhs + math.log1p(-1e-12)) | (rhs == -np.inf)))
+
+
+def _assert_breaks_lattice_in_logs(d, witness):
+    x1, x2 = witness
+    join = tuple(max(u, v) for u, v in zip(x1, x2))
+    meet = tuple(min(u, v) for u, v in zip(x1, x2))
+    with np.errstate(divide="ignore"):
+        lhs = np.log(d.prob_of(join)) + np.log(d.prob_of(meet))
+    assert lhs < np.log(d.prob_of(x1)) + np.log(d.prob_of(x2))
+
+
+@st.composite
+def _positive_priors(draw):
+    """Strictly positive binary prior with n <= 6: log w = theta.x +
+    sum_{i<j} J_ij x_i x_j on a grid of couplings, some negative, with one
+    cell sometimes moved.  Grid couplings keep every second difference
+    well clear of the 1e-12 slack."""
+    n = draw(st.integers(2, 6))
+    bits = bit_table(n)
+    theta = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))) / 10.0
+    coupling = np.array(draw(st.lists(st.integers(-3, 15), min_size=n * n, max_size=n * n)))
+    log_w = bits @ theta + np.einsum("ki,ij,kj->k", bits, np.triu(coupling.reshape(n, n), 1) / 10.0, bits)
+    cell = draw(st.integers(0, 2**n - 1))
+    log_w[cell] += draw(st.sampled_from([0.0, -1.0, -0.1, 0.1, 1.0]))
+    return n, np.exp(log_w)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_positive_priors())
+def test_adjacent_scan_matches_all_pairs_in_logs(case):
+    n, w = case
+    d = from_dense(n, 2, w)
+    ok, witness = is_positively_affiliated(d)
+    assert ok == _log_lattice_holds(d.probs)
+    if not ok:
+        _assert_breaks_lattice_in_logs(d, witness)
+
+
+def _underflowing_prior():
+    """n=3: the face x2 = 0 weighs (1e10, 1e5, 1e5, 1) over x0 + 2 x1,
+    which is affiliated, and the face x2 = 1 weighs 1e-170 (1, 1e5, 1e5, 1),
+    which is not; both sides of its lattice inequality underflow to 0."""
+    return np.concatenate([[1e10, 1e5, 1e5, 1.0], 1e-170 * np.array([1.0, 1e5, 1e5, 1.0])])
+
+
+def test_adjacent_scan_does_not_pass_on_underflow():
+    d = from_dense(3, 2, _underflowing_prior())
+    p = d.probs
+    assert p[7] * p[4] == p[5] * p[6] == 0.0
+    assert math.log(p[7]) + math.log(p[4]) - math.log(p[5]) - math.log(p[6]) < -23.0
+    ok, witness = is_positively_affiliated(d)
+    assert not ok
+    _assert_breaks_lattice_in_logs(d, witness)
+
+
+def test_lattice_scan_does_not_pass_on_underflow():
+    # The same prior with a fourth coordinate that is always 0.
+    d = from_dense(4, 2, np.concatenate([_underflowing_prior(), np.zeros(8)]))
+    ok, witness = is_positively_affiliated(d)
+    assert not ok
+    _assert_breaks_lattice_in_logs(d, witness)
+
+
+def test_dense_checks_build_no_digit_table(monkeypatch):
+    # The closed form and both structure checks take O(2**n) passes over
+    # the cells; none of them may fall back to the (2**n, n) digit table.
+    import infera.affiliated
+    import infera.ising
+    import infera.lp_exact
+    import infera.mechanism
+    import infera.dist
+
+    d = random_affiliated(10, np.random.default_rng(15))
+
+    def no_table(*args):
+        raise AssertionError("digit table built")
+
+    for module in (infera.dist, infera.mechanism, infera.affiliated, infera.lp_exact, infera.ising):
+        monkeypatch.setattr(module, "digit_table", no_table)
+    nu_closed_form(d, PrivacyBudget.uniform(10, 0.3), 4)
+    assert is_positively_affiliated(d) == (True, None)
+    assert is_pairwise_positively_correlated(d)
