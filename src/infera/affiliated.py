@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (
-    JointDistribution,
-    biased_means,
-    check_coordinate,
-    digit_table,
-    from_dense,
-    is_positively_affiliated,
-)
+from .dist import (JointDistribution, add_pair, biased_means, cell_fold, check_coordinate,
+                   from_dense, is_positively_affiliated)
 from .errors import (DimensionMismatch, InsufficientSupport, NotAffiliated, UndefinedRatio,
                      UnsupportedAlphabet)
 from .mechanism import PrivacyBudget
@@ -111,9 +105,8 @@ def random_affiliated(n: int, rng: np.random.Generator) -> JointDistribution:
     """
     theta = rng.normal(0.0, 1.0, size=n)
     coupling = rng.uniform(0.0, 0.6, size=(n, n))
-    digits = digit_table(n, 2).astype(np.float64)
-    log_w = digits @ theta
+    log_w = cell_fold([(0.0, t) for t in theta])
     for i in range(n):
         for j in range(i + 1, n):
-            log_w += coupling[i, j] * digits[:, i] * digits[:, j]
+            add_pair(log_w, i, j, [[0.0, 0.0], [0.0, coupling[i, j]]])
     return from_dense(n, 2, np.exp(log_w - log_w.max()))

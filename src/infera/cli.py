@@ -191,17 +191,22 @@ def cmd_nu(args, report: dict) -> int:
         results["numerator"] = res.numerator
         results["denominator"] = res.denominator
     else:  # all
-        dist = _dense(prior, cap)
         values = {}
         try:
-            values["exact"] = nu_exact(dist, budget, args.target, cap=lp_cap).nu
+            dist = _dense(prior, cap)
         except SizeCap as exc:
-            lp_refusal = exc
-            report["warnings"].append(f"exact LP skipped: {exc}")
-        try:
-            values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
-        except (NotAffiliated, UnsupportedAlphabet) as exc:
-            report["warnings"].append(f"closed form skipped: {exc}")
+            # A tree past --cap still has its exact recursion.
+            report["warnings"] += [f"exact LP skipped: {exc}", f"closed form skipped: {exc}"]
+        else:
+            try:
+                values["exact"] = nu_exact(dist, budget, args.target, cap=lp_cap).nu
+            except SizeCap as exc:
+                lp_refusal = exc
+                report["warnings"].append(f"exact LP skipped: {exc}")
+            try:
+                values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
+            except (NotAffiliated, UnsupportedAlphabet) as exc:
+                report["warnings"].append(f"closed form skipped: {exc}")
         if isinstance(prior, IsingPrior):
             values["gibbs"] = _tree_nu(prior, budget, args.target)
         if not values:

@@ -6,7 +6,8 @@ indexed little-endian: index(x) = sum_i x_i * alphabet_size**i, so
 coordinate 0 is the least significant digit.
 
 This module is the one place that maps cells to digits.  Everything else
-goes through digit_table, cell_tensor and faces.
+goes through cell_tensor and faces, and builds cell functions from
+per-coordinate terms with cell_fold and add_pair.
 """
 
 from __future__ import annotations
@@ -32,16 +33,30 @@ DEFAULT_CAP = 2**20
 _NEG_TOL = 1e-12
 
 
-def digit_table(n: int, alphabet_size: int) -> np.ndarray:
-    """(alphabet_size**n, n) array; row k holds the digits of cell k.
+def cell_fold(terms, op=np.add) -> np.ndarray:
+    """Flat f(x) = op over k of terms[k][d_k], for the cells of
+    little-endian mixed-radix digits d_k, digit k taking len(terms[k])
+    values, folded in from k = 0 up.  With terms of length alphabet_size,
+    d_k is x_k; with op np.multiply, f is a product."""
+    out = np.full(1, float(op.identity))
+    for t in terms:
+        out = op.outer(np.asarray(t, dtype=np.float64), out).reshape(-1)
+    return out
 
-    Typed np.min_scalar_type(alphabet_size - 1), so uint8 for binary.
-    """
-    idx = np.arange(alphabet_size**n)
-    digits = np.empty((idx.size, n), dtype=np.min_scalar_type(alphabet_size - 1))
-    for i in range(n):
-        digits[:, i] = (idx // alphabet_size**i) % alphabet_size
-    return digits
+
+def add_pair(flat: np.ndarray, i: int, j: int, table) -> None:
+    """Add table[x_i][x_j], a symmetric 2x2 table, to every cell of the
+    binary cell vector flat, in place, through its contiguous view."""
+    lo, hi = sorted((i, j))
+    view = flat.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
+    view += np.asarray(table, dtype=np.float64)[:, None, :, None]
+
+
+def odd_count(r: int, s: int) -> np.ndarray:
+    """Flat count of odd entries in (x_0, row sums) over the binary cells
+    of 1 + r*s coordinates, row i being x_{1+i*s} to x_{(i+1)*s}."""
+    row = cell_fold([(0, 1)] * s) % 2
+    return cell_fold([(0, 1)] + [row] * r)
 
 
 def cell_tensor(flat: np.ndarray, n: int, alphabet_size: int) -> np.ndarray:
@@ -80,9 +95,6 @@ class JointDistribution:
                 f"got {self.probs.shape}"
             )
         self.probs.setflags(write=False)
-
-    def digits(self) -> np.ndarray:
-        return digit_table(self.n, self.alphabet_size)
 
     def index_of(self, x: Sequence[int]) -> int:
         return int(sum(int(v) * self.alphabet_size**i for i, v in enumerate(x)))
@@ -140,11 +152,7 @@ def product(marginals: Sequence[Sequence[float]], cap: int = DEFAULT_CAP) -> Joi
     n = len(mats)
     if alphabet**n > cap:
         raise SizeCap(f"{alphabet**n} entries exceed cap {cap}")
-    probs = np.ones(1)
-    # Little-endian order: later coordinates vary slower.
-    for m in mats:
-        probs = np.outer(probs, m).reshape(-1, order="F")
-    return from_dense(n, alphabet, probs, cap=cap)
+    return from_dense(n, alphabet, cell_fold(mats, np.multiply), cap=cap)
 
 
 def perfectly_correlated(n: int, p_one: float, cap: int = DEFAULT_CAP) -> JointDistribution:
@@ -164,17 +172,14 @@ def parity_constrained(r: int, s: int, cap: int = DEFAULT_CAP) -> JointDistribut
 
     Coordinate 0 is x_a; coordinate 1 + i*s + j is bit j of row i.  The
     support is the set of databases where x_a plus each row sum is even,
-    which leaves 2**(1 + r*(s-1)) databases.
+    which leaves 2**(1 + r*(s-1)) databases: those where every row sum
+    has the parity of x_a, so odd_count is 0 or r + 1.
     """
     n = 1 + r * s
     if 2**n > cap:
         raise SizeCap(f"{2**n} entries exceed cap {cap}")
-    digits = digit_table(n, 2)
-    ok = np.ones(digits.shape[0], dtype=bool)
-    for i in range(r):
-        row = digits[:, 1 + i * s : 1 + (i + 1) * s].sum(axis=1)
-        ok &= (digits[:, 0] + row) % 2 == 0
-    return from_dense(n, 2, ok.astype(np.float64), cap=cap)
+    k = odd_count(r, s)
+    return from_dense(n, 2, ((k == 0) | (k == r + 1)).astype(np.float64), cap=cap)
 
 
 def conditional_means(dist: JointDistribution, values: np.ndarray, a: int):

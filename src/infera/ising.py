@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DEFAULT_CAP, JointDistribution, check_coordinate, digit_table, from_dense
+from .dist import DEFAULT_CAP, JointDistribution, add_pair, cell_fold, check_coordinate, from_dense
 from .errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
 
@@ -89,14 +89,10 @@ class IsingPrior:
         n = self.n
         if 2**n > cap:
             raise SizeCap(f"Ising prior with {n} sites needs 2**{n} entries, cap {cap}")
-        # Field terms, one coordinate at a time: in little-endian order the
-        # cells with x_a = 0 (spin +1) precede those with x_a = 1.
-        energy = np.zeros(1)
-        for a in range(n):
-            energy = np.concatenate([energy + self.h[a], energy - self.h[a]])
-        digits = digit_table(n, 2)
+        # x_a = 0 is spin +1.
+        energy = cell_fold([(h, -h) for h in self.h])
         for a, b, c in zip(self.i, self.j, self.J):
-            energy += np.where(digits[:, a] == digits[:, b], c, -c)
+            add_pair(energy, a, b, [[c, -c], [-c, c]])
         # A gap past the float range gives weight 0.
         with np.errstate(over="ignore"):
             weights = np.exp(energy - energy.max())

@@ -37,14 +37,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, digit_table, faces
+from .dist import JointDistribution, cell_tensor, faces
 from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
-from .mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
+from .mechanism import EventProfile, PrivacyBudget, dp_audit, max_biased_log, mechanism_nu
 
 # The LP of a binary prior at n = 12 has 2**11 variables and a 32 MB
 # normal matrix; nu_exact on a dense such prior took 18 s at 218 MB peak
 # RSS (one BLAS thread, 2-vCPU VM).  Other alphabets get the same count.
 DEFAULT_LP_CAP = 12
+
+# _certify peaks at about six size x size float64 arrays, 48 size**2 bytes
+# (the normal matrix, its factor, its inverse, temporaries).  A larger
+# estimate is refused up front: 2**13 variables (3 GiB) pass, 2**14 do not.
+_LP_BYTE_CAP = 2**32
 
 # Width of the certified interval [nu, nu_upper].
 GAP_TOL = 1e-9
@@ -255,15 +260,18 @@ def nu_exact(
     the budget under dp_audit, and its replay through mechanism_nu, which
     is reported as nu, must lie within GAP_TOL below the largest upper
     bound.  SizeCap is raised when the LP would have more than
-    2**(cap - 1) variables.
+    2**(cap - 1) variables, or need more than _LP_BYTE_CAP bytes.
     """
     n, alph = dist.n, dist.alphabet_size
     if budget.n != n:
         raise DimensionMismatch(f"budget length {budget.n} != n={n}")
-    if alph ** (n - 1) > 2 ** (cap - 1):
+    size = alph ** (n - 1)
+    if size > 2 ** (cap - 1):
         raise SizeCap(
             f"LP over {alph}**{n - 1} profile cells exceeds the cap 2**{cap - 1} (--lp-cap {cap})"
         )
+    if 48 * size**2 > _LP_BYTE_CAP:
+        raise SizeCap(f"LP over {size} variables needs {48 * size**2} bytes, cap {_LP_BYTE_CAP}")
     gains = np.empty(n)
     for i, ei in enumerate(budget.eps):
         try:
@@ -277,7 +285,6 @@ def nu_exact(
 
     eps = np.delete(budget.eps, a)
     rows = _ratio_rows(n - 1, alph, np.delete(gains, a))
-    digits = digit_table(n - 1, alph)
     eps_a = float(budget.eps[a])
     best = None
     nu_upper = -math.inf
@@ -292,7 +299,7 @@ def nu_exact(
                 continue
             # The maximally z1-biased profile meets the budget and is
             # optimal for affiliated priors: it seeds the lower bound.
-            seed = -((digits != z1) @ eps)
+            seed = max_biased_log(eps, z1, alph)
             lower, upper, w, iters = _certify(cond[z1], e, rows, eps, alph, seed)
             if not upper - lower <= _DIRECTION_GAP:
                 raise LPError(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, conditional_means, digit_table, faces
+from .dist import JointDistribution, cell_fold, conditional_means, faces, odd_count
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 
@@ -73,6 +73,12 @@ class EventProfile:
         self.values.setflags(write=False)
 
 
+def max_biased_log(eps: np.ndarray, z: int, alphabet_size: int = 2) -> np.ndarray:
+    """Flat ln m_z(x) = -sum_i eps_i [x_i != z] over the alphabet_size**n
+    cells of n = len(eps) coordinates, summed from coordinate 0 up."""
+    return cell_fold(np.where(np.arange(alphabet_size) == z, 0.0, -eps[:, None]))
+
+
 def max_biased_values(n: int, budget: PrivacyBudget, z: int) -> np.ndarray:
     """Flat m(x) = exp(-sum_i eps_i * |x_i - z|) for binary databases.
 
@@ -85,8 +91,9 @@ def max_biased_values(n: int, budget: PrivacyBudget, z: int) -> np.ndarray:
         raise DimensionMismatch("budget length must equal n")
     if z not in (0, 1):
         raise UnsupportedAlphabet("bias target must be a binary value")
-    with np.errstate(over="ignore"):
-        return np.exp(-((digit_table(n, 2) != z) @ budget.eps))
+    with np.errstate(over="ignore"):  # a sum past the float range is -inf
+        logm = max_biased_log(budget.eps, z)
+    return np.exp(logm, out=logm)
 
 
 def max_biased_profile(n: int, budget: PrivacyBudget, z: int) -> EventProfile:
@@ -139,13 +146,8 @@ def parity_mechanism_m1_profile(r: int, s: int, eps: float) -> EventProfile:
     """
     if eps <= 0.0:
         raise NegativeProbability("eps must be positive")
-    n = 1 + r * s
-    digits = digit_table(n, 2)
-    odd = digits[:, 0] % 2
-    for i in range(r):
-        row = digits[:, 1 + i * s : 1 + (i + 1) * s].sum(axis=1)
-        odd = odd + row % 2
-    return EventProfile(n=n, alphabet_size=2, values=0.5 * np.exp(-eps * odd))
+    return EventProfile(n=1 + r * s, alphabet_size=2,
+                        values=0.5 * np.exp(-eps * odd_count(r, s)))
 
 
 def dp_audit(profile: EventProfile) -> PrivacyBudget:

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infera
 from infera.cli import main
 from infera.files import distribution_from_obj
 from infera.ising import IsingPrior, nu_tree, tree_prior
@@ -253,6 +257,42 @@ def test_nu_all_skips_an_lp_over_the_cap(write_json, capsys):
     assert res["max_discrepancy"] <= 1e-9
     assert len(report["warnings"]) == 1
     assert report["warnings"][0].startswith("exact LP skipped: LP over 2**14 profile cells")
+
+
+def test_nu_all_skips_the_dense_methods_on_a_tree_over_the_cap(write_json, capsys):
+    # 31 sites: 2**31 cells against the default cap of 2**20, but the tree
+    # recursion still answers, as --method gibbs does.
+    path = write_json("tree31.json", {"generator": "ising_tree",
+                                      "params": {"d": 2, "depth": 4, "J": 0.3, "h0": 0.1}})
+    argv = ["nu", "--dist", path, "--eps", "0.2", "--method"]
+    code, report = _run(capsys, argv + ["all"])
+    assert code == 0
+    _, gibbs = _run(capsys, argv + ["gibbs"])
+    assert report["results"]["nu"] == gibbs["results"]["nu"] == 0.441783948386
+    refusal = "Ising prior with 31 sites needs 2**31 entries, cap 1048576"
+    assert report["warnings"] == [f"exact LP skipped: {refusal}",
+                                  f"closed form skipped: {refusal}"]
+
+
+def test_nu_exact_refuses_an_lp_too_large_for_memory(write_json):
+    # 2**14 LP variables pass --lp-cap 16, but the solver would peak near
+    # 12 GiB.  In a 1 GiB address space the refusal must come by size,
+    # before an allocation fails.
+    path = write_json("tree15.json", {"generator": "ising_tree",
+                                      "params": {"d": 2, "depth": 3, "J": 0.3, "h0": 0.1}})
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from infera.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(infera.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    argv = ["nu", "--dist", path, "--eps", "0.2", "--method", "exact", "--lp-cap", "16"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "unexpected" not in proc.stderr
+    assert proc.stderr.startswith("error: LP over 16384 variables needs 12884901888 bytes")
 
 
 def test_nu_all_fails_when_no_method_answers(write_json, capsys):

@@ -1,6 +1,7 @@
 """Distribution construction, conditioning, and structure checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from infera.dist import (
     JointDistribution,
     cell_tensor,
     conditional_means,
-    digit_table,
     faces,
     from_dense,
     is_pairwise_positively_correlated,
@@ -30,7 +30,7 @@ from infera.errors import (
     ZeroMass,
 )
 from infera.affiliated import nu_closed_form, random_affiliated
-from infera.mechanism import PrivacyBudget
+from infera.mechanism import PrivacyBudget, max_biased_profile
 from infera.ising import tree_prior
 
 
@@ -144,7 +144,7 @@ def test_parity_not_affiliated_with_valid_witness():
 
 def test_conditional_slice_twins_point_mass():
     d = perfectly_correlated(2, 0.5)
-    masses, means = conditional_means(d, d.digits()[:, 1].astype(float), 0)
+    masses, means = conditional_means(d, bit_table(2)[:, 1].astype(float), 0)
     assert masses == [0.5, 0.5]
     # Given x_0 = z, x_1 = z surely.
     assert means == [0.0, 1.0]
@@ -246,7 +246,7 @@ def test_fkg_inequality_on_affiliated_priors():
 
 def test_digit_index_roundtrip():
     d = from_dense(3, 2, np.arange(1, 9, dtype=float))
-    table = d.digits()
+    table = bit_table(3)
     for idx in range(8):
         assert d.index_of(table[idx]) == idx
     assert d.prob_of((1, 0, 1)) == d.probs[5]
@@ -255,7 +255,7 @@ def test_digit_index_roundtrip():
 def test_marginal_of_matches_direct_sum():
     rng = np.random.default_rng(15)
     d = random_prior(rng, 3)
-    bits = d.digits()
+    bits = bit_table(3)
     for i in range(3):
         direct = np.array(
             [d.probs[bits[:, i] == v].sum() for v in (0, 1)]
@@ -275,19 +275,10 @@ def _digits_of(k, n, alph):
     return [k // alph**i % alph for i in range(n)]
 
 
-def test_digit_table_matches_bit_table():
-    for n in range(1, 9):
-        table = digit_table(n, 2)
-        assert table.dtype == np.uint8
-        assert np.array_equal(table, bit_table(n))
-
-
-def test_digit_table_round_trips_alphabet_3():
+def test_index_of_round_trips_alphabet_3():
     d = from_dense(3, 3, np.ones(27))
-    table = d.digits()
-    assert np.array_equal(table, [_digits_of(k, 3, 3) for k in range(27)])
-    for k, row in enumerate(table):
-        assert d.index_of(row) == k
+    for k in range(27):
+        assert d.index_of(_digits_of(k, 3, 3)) == k
 
 
 def test_cell_tensor_and_faces_match_index_loops():
@@ -478,22 +469,17 @@ def test_lattice_scan_does_not_pass_on_underflow():
     _assert_breaks_lattice_in_logs(d, witness)
 
 
-def test_dense_checks_build_no_digit_table(monkeypatch):
-    # The closed form and both structure checks take O(2**n) passes over
-    # the cells; none of them may fall back to the (2**n, n) digit table.
-    import infera.affiliated
-    import infera.ising
-    import infera.lp_exact
-    import infera.mechanism
-    import infera.dist
-
-    d = random_affiliated(10, np.random.default_rng(15))
-
-    def no_table(*args):
-        raise AssertionError("digit table built")
-
-    for module in (infera.dist, infera.mechanism, infera.affiliated, infera.lp_exact, infera.ising):
-        monkeypatch.setattr(module, "digit_table", no_table)
-    nu_closed_form(d, PrivacyBudget.uniform(10, 0.3), 4)
-    assert is_positively_affiliated(d) == (True, None)
-    assert is_pairwise_positively_correlated(d)
+def test_dense_constructors_peak_near_their_output():
+    # Both fold their cells in one coordinate at a time.  At n = 16 the
+    # bound leaves room for a few copies of the 512 KiB output, not for a
+    # (2**n, n) table of digits taken into float arithmetic (8 MiB).
+    budget = PrivacyBudget(np.random.default_rng(3).uniform(0.05, 1.0, 16))
+    for build in (lambda: max_biased_profile(16, budget, 1),
+                  lambda: random_affiliated(16, np.random.default_rng(4))):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20

@@ -17,7 +17,7 @@ from infera.bethe import (
     nu_bethe_limit,
     sensitivity_profile,
 )
-from infera.dist import is_positively_affiliated
+from infera.dist import from_dense, is_positively_affiliated
 from infera.errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from infera.ising import (
     IsingPrior, nu_gibbs, nu_tree, tree_prior,
@@ -271,6 +271,22 @@ def test_nu_tree_matches_enumeration(forest):
     want = _enumerate_nu(n, edges, J, h, eps)
     assert np.all(np.abs(nu - want) <= 1e-12 * np.maximum(1.0, want))
     assert np.all(nu >= budget.eps)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_forests().filter(lambda forest: forest[0] <= 10))
+def test_dense_forest_prior_matches_enumeration_bit_for_bit(forest):
+    # The energy summed in the order dense sums it: the fields from site
+    # 0 up, then the edges in order.
+    n, edges, J, h, _ = forest
+    x = bit_table(n)
+    energy = np.zeros(2**n)
+    for a in range(n):
+        energy = energy + np.where(x[:, a] == 0, h[a], -h[a])
+    for (a, b), c in zip(edges, J):
+        energy = energy + np.where(x[:, a] == x[:, b], c, -c)
+    want = from_dense(n, 2, np.exp(energy - energy.max())).probs
+    assert _prior(n, edges, J, h).dense().probs.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("edges", [

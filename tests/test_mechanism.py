@@ -62,6 +62,12 @@ def test_max_biased_values():
     assert np.array_equal(p1.values, p0.values[::-1])
     p = max_biased_profile(1, PrivacyBudget(np.array([0.3])), 0)
     assert np.allclose(p.values, [1.0, math.exp(-0.3)], rtol=1e-15, atol=0)
+    rng = np.random.default_rng(17)
+    for n in range(1, 11):
+        b = random_budget(rng, n)
+        for z in (0, 1):
+            want = np.exp(-((bit_table(n) != z) @ b.eps))
+            assert np.allclose(max_biased_profile(n, b, z).values, want, rtol=1e-14, atol=0)
 
 
 def test_max_biased_argument_checks():
@@ -121,6 +127,20 @@ def test_parity_profile_on_support():
             assert abs(prof.values[idx] - 0.5) <= 1e-15
         else:
             assert abs(prof.values[idx] - 0.5 * math.exp(-3 * eps)) <= 1e-15
+
+
+def test_parity_constructors_match_enumeration():
+    eps = 0.37
+    for r, s in ((r, s) for r in range(1, 10) for s in range(1, 10) if r * s <= 9):
+        n = 1 + r * s
+        bits = bit_table(n)
+        rows = [bits[:, 1 + i * s : 1 + (i + 1) * s].sum(axis=1) for i in range(r)]
+        even = np.all([(bits[:, 0] + row) % 2 == 0 for row in rows], axis=0)
+        odd = bits[:, 0] + sum(row % 2 for row in rows)
+        want = from_dense(n, 2, even.astype(np.float64)).probs
+        assert np.array_equal(parity_constrained(r, s).probs, want), (r, s)
+        want = 0.5 * np.exp(-eps * odd)
+        assert np.array_equal(parity_mechanism_m1_profile(r, s, eps).values, want), (r, s)
 
 
 def test_parity_profile_single_cell():
