@@ -6,8 +6,8 @@ indexed little-endian: index(x) = sum_i x_i * alphabet_size**i, so
 coordinate 0 is the least significant digit.
 
 This module is the one place that maps cells to digits.  Everything else
-goes through cell_tensor and faces, and builds cell functions from
-per-coordinate terms with cell_fold and add_pair.
+goes through cell_tensor, faces and face_views, and builds cell functions
+from per-coordinate terms with cell_fold and add_pair.
 """
 
 from __future__ import annotations
@@ -46,10 +46,17 @@ def cell_fold(terms, op=np.add) -> np.ndarray:
 
 def add_pair(flat: np.ndarray, i: int, j: int, table) -> None:
     """Add table[x_i][x_j], a symmetric 2x2 table, to every cell of the
-    binary cell vector flat, in place, through its contiguous view."""
+    binary cell vector flat, in place, through its contiguous view.  A
+    table with zero entries is added only on the quarters where it is
+    nonzero."""
     lo, hi = sorted((i, j))
     view = flat.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
-    view += np.asarray(table, dtype=np.float64)[:, None, :, None]
+    table = np.asarray(table, dtype=np.float64)
+    if np.all(table != 0.0):
+        view += table[:, None, :, None]
+        return
+    for u, v in zip(*np.nonzero(table)):
+        view[:, u, :, v] += table[u, v]
 
 
 def odd_count(r: int, s: int) -> np.ndarray:
@@ -78,6 +85,21 @@ def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
     return np.moveaxis(cell_tensor(flat, n, alphabet_size), a, 0).reshape(
         alphabet_size, -1, order="F"
     )
+
+
+# Contiguous runs shorter than this many cells are read across instead.
+_SHORT_RUN = 16
+
+
+def face_views(flat: np.ndarray, alphabet_size: int, k: int) -> list:
+    """The faces x_k = 0, ..., alphabet_size - 1 of a flat cell vector, as
+    views that list the other coordinates' contexts in one order: rows
+    are the contiguous runs of alphabet_size**k cells, or columns are when
+    those runs are shorter than _SHORT_RUN.  Paired with a C-contiguous
+    operand of the same shape, numpy's inner loop then runs the long way."""
+    t = np.asarray(flat).reshape(-1, alphabet_size, alphabet_size**k)
+    short = alphabet_size**k < _SHORT_RUN
+    return [t[:, u].T if short else t[:, u] for u in range(alphabet_size)]
 
 
 @dataclass(frozen=True)
@@ -121,6 +143,11 @@ def from_dense(
     (NegativeProbability); smaller negative float noise is clamped to
     zero.  Raises ZeroMass when nothing remains to normalize and SizeCap
     when alphabet_size**n exceeds the cap.
+
+    The total is the correctly rounded sum of the weights, the one
+    math.fsum gives, computed exactly from their bits without boxing a
+    cell.  Weights whose sum passes the float range are first scaled by
+    a power of two.
     """
     if n < 1 or alphabet_size < 2:
         raise DimensionMismatch(f"need n >= 1 and alphabet >= 2, got {n}, {alphabet_size}")
@@ -137,10 +164,53 @@ def from_dense(
         worst = int(np.argmin(w))
         raise NegativeProbability(f"weight {w[worst]} at index {worst}")
     w = np.where(w < 0.0, 0.0, w)
-    total = math.fsum(w.tolist())
-    if total <= 0.0:
+    m = _exact_sum(w)
+    if m == 0:
         raise ZeroMass("weights sum to zero")
+    try:
+        # Int division rounds correctly, as math.fsum does.
+        total = m / (1 << _SUM_UNIT)
+    except OverflowError:
+        # Finite weights past the float range in sum: scale them and
+        # their sum by one power of two, which leaves the quotients.
+        shift = m.bit_length() - _SUM_UNIT - 1023
+        w = np.ldexp(w, -shift)
+        total = m / (1 << (_SUM_UNIT + shift))
     return JointDistribution(n=n, alphabet_size=alphabet_size, probs=w / total)
+
+
+# _exact_sum counts in units of 2**-_SUM_UNIT, the last bit of a 53-bit
+# mantissa at np.frexp's lowest exponent for a finite float64: -1073 - 53.
+_SUM_UNIT = 1126
+# Cells per block of _exact_sum: its temporaries stay near 2 MiB.
+_SUM_BLOCK = 2**16
+
+
+def _exact_sum(w: np.ndarray) -> int:
+    """The exact sum of the finite nonnegative float64 array w, in units
+    of 2**-_SUM_UNIT.
+
+    Each weight is frac * 2**e with frac in [0.5, 1) (np.frexp); the 53
+    bits of frac are cut into a high part below 2**26 and a low part
+    below 2**27, and each part is summed per exponent by np.bincount, a
+    block of cells at a time.  Those sums stay below 2**53, so they are
+    exact, and Python integers add them up.
+    """
+    m = 0
+    for start in range(0, w.size, _SUM_BLOCK):
+        frac, exp = np.frexp(w[start:start + _SUM_BLOCK])
+        lowest = int(exp.min())
+        exp -= lowest
+        x = np.ldexp(frac, 26, out=frac)
+        high = np.floor(x)
+        x -= high
+        high_sums = np.bincount(exp, high)
+        low_sums = np.bincount(exp, np.ldexp(x, 27, out=x))
+        # A nonzero weight has a high part of at least 2**25.
+        for e in np.flatnonzero(high_sums).tolist():
+            part = (int(high_sums[e]) << 27) + int(low_sums[e])
+            m += part << (e + lowest - 53 + _SUM_UNIT)
+    return m
 
 
 def product(marginals: Sequence[Sequence[float]], cap: int = DEFAULT_CAP) -> JointDistribution:

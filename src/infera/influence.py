@@ -7,12 +7,17 @@ sums never beats its largest term.  Contexts of zero probability are
 excluded; if the conditional support of x_i changes across an admissible
 adjacent pair, the entry is unbounded (math.inf).
 
-Each site i gets one table log Pr(x_i | context) over the cell tensor,
+Each site i gets one table log Pr(x_i | context) over the flat cells,
 read as nan in a context of zero mass and -inf for a value off the
 conditional support.  An entry is half the largest |difference| between
-two faces of that table along j's axis, nan skipped: nan marks an
-inadmissible context or a value off the support on both faces, and an
-infinite difference is exactly a support change.
+two faces of that table along x_j, taken as the larger of the fmax and
+-fmin of the differences, which skip nan: nan marks an inadmissible
+context or a value off the support on both faces, and an infinite
+difference is exactly a support change.  Each face is read along its
+longest run: the contiguous runs of x_j's faces are alphabet_size**j
+cells long, and short ones are read across, so no numpy inner loop
+walks a handful of cells at a time.  Max and min do not depend on the
+order of the cells.
 
 When the matrix G has spectral norm below one, the inference parameter
 of coordinate i under budget eps obeys nu_i <= 2 * ((I - G)^-1 eps)_i,
@@ -28,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor
+from .dist import JointDistribution, cell_tensor, face_views
 from .errors import (
     DegenerateDistribution,
     DimensionMismatch,
@@ -70,25 +75,37 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
     if n < 1:
         raise DegenerateDistribution("empty distribution")
     gamma = np.zeros((n, n))
-    shaped = cell_tensor(dist.probs, n, alph)
-    # The cell tensor's own layout, so face arithmetic runs over contiguous runs.
-    diff = np.empty((alph,) * (n - 1), order="F")
+    probs = dist.probs
+    lc = np.empty(alph**n)
+    buf = np.empty(alph ** (n - 1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        log_p = np.log(shaped)
+        log_p = np.log(probs)
         for i in range(n):
-            # Axis i of the log-conditional table holds x_i's value.
-            lc = log_p - np.log(shaped.sum(axis=i, keepdims=True))
+            # The mass of each context of x_i, added in the order of
+            # numpy's sum along x_i: face by face, but pairwise over the
+            # adjacent cells of site 0.
+            if i == 0:
+                ctx = cell_tensor(probs, n, alph).sum(axis=0).reshape(1, -1, order="F")
+            else:
+                p_faces = face_views(probs, alph, i)
+                ctx = np.add(p_faces[0], p_faces[1], out=buf.reshape(p_faces[0].shape))
+                for face in p_faces[2:]:
+                    ctx += face
+            log_ctx = np.log(ctx, out=ctx)
+            for lp, out in zip(face_views(log_p, alph, i), face_views(lc, alph, i)):
+                np.subtract(lp, log_ctx, out=out)
             for j in range(n):
                 if j == i:
                     continue
-                worst = 0.0
+                hi = lo = 0.0
+                lc_faces = face_views(lc, alph, j)
                 for u in range(alph):
                     for v in range(u + 1, alph):
-                        # Faces x_j = u and x_j = v, views along axis j.
-                        np.subtract(lc[(slice(None),) * j + (u,)],
-                                    lc[(slice(None),) * j + (v,)], out=diff)
-                        worst = np.fmax.reduce(np.abs(diff, out=diff), axis=None, initial=worst)
-                gamma[i, j] = 0.5 * worst
+                        diff = np.subtract(lc_faces[u], lc_faces[v],
+                                           out=buf.reshape(lc_faces[u].shape))
+                        hi = np.fmax.reduce(diff, axis=None, initial=hi)
+                        lo = np.fmin.reduce(diff, axis=None, initial=lo)
+                gamma[i, j] = 0.5 * max(0.0, hi, -lo)
     return InfluenceMatrix(gamma=gamma)
 
 

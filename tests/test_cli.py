@@ -80,6 +80,13 @@ def test_check_passes_product_prior(write_json, capsys):
     assert len(report["inputs"]["digest"]) == 16
 
 
+def test_weights_summing_past_the_float_range_load(write_json, capsys):
+    path = write_json("big.json", {"n": 2, "alphabet": 2, "probs": [1.7e308] * 4})
+    code, report = _run(capsys, ["check", "--dist", path])
+    assert code == 0
+    assert report["results"]["affiliated"] is True
+
+
 def test_malformed_file_is_an_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
+    add_pair,
     cell_tensor,
     conditional_means,
     faces,
@@ -31,7 +32,7 @@ from infera.errors import (
 )
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.mechanism import PrivacyBudget, max_biased_profile
-from infera.ising import tree_prior
+from infera.ising import IsingPrior, tree_prior
 
 
 def test_from_dense_normalizes():
@@ -60,6 +61,58 @@ def test_from_dense_rejects_non_finite_weights(bad):
 def test_from_dense_clamps_float_noise():
     d = from_dense(1, 2, [1.0, -1e-13])
     assert d.probs[1] == 0.0
+
+
+def test_from_dense_scales_a_sum_past_the_float_range():
+    big = 1.7e308
+    assert np.array_equal(from_dense(1, 2, [big, big]).probs, [0.5, 0.5])
+    # Any power of two that brings the sum into range gives the same quotients.
+    scaled = np.array([big, 0.0, big, big]) / 4
+    assert np.array_equal(from_dense(2, 2, 4 * scaled).probs, scaled / math.fsum(scaled.tolist()))
+    # Below the float range the sum is not scaled.
+    d = from_dense(1, 2, [big, big / 64])
+    assert np.array_equal(d.probs, np.array([big, big / 64]) / (big + big / 64))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _spread_weights(draw):
+    """Weights with zeros, subnormals and exponents over most of the float
+    range, on up to 3**11 cells: past one block of the binned sum."""
+    n, alph = draw(st.sampled_from([(1, 2), (3, 3), (10, 2), (16, 2), (17, 2), (11, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1000, 990))
+    low = draw(st.integers(-1100, top))
+    w = np.ldexp(rng.uniform(0.5, 1.0, alph**n), rng.integers(low, top + 1, alph**n))
+    subnormal = rng.uniform(size=w.size) < draw(st.floats(0.0, 0.2))
+    w[subnormal] = rng.integers(1, 2**52, subnormal.sum()) * 5e-324
+    w[rng.uniform(size=w.size) < draw(st.floats(0.0, 0.5))] = 0.0
+    if not w.any():
+        w[-1] = 5e-324
+    return n, alph, w
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_spread_weights())
+def test_from_dense_divides_by_the_fsum_of_its_weights(case):
+    n, alph, w = case
+    want = w / math.fsum(w.tolist())
+    assert np.array_equal(_bits(from_dense(n, alph, w).probs), _bits(want))
+
+
+def test_add_pair_skips_only_zero_quarters():
+    rng = np.random.default_rng(2)
+    base = rng.normal(size=2**6)
+    x = bit_table(6)
+    for table in ([[0.0, 0.0], [0.0, 0.7]], [[0.3, -0.3], [-0.3, 0.3]], [[0.0, 0.5], [0.5, 0.0]]):
+        for i, j in ((0, 1), (4, 1), (2, 5)):
+            got = base.copy()
+            add_pair(got, i, j, table)
+            want = base + np.asarray(table)[x[:, i], x[:, j]]
+            assert np.array_equal(got, want)
 
 
 def test_from_dense_shape_and_mass_errors():
@@ -469,6 +522,15 @@ def test_lattice_scan_does_not_pass_on_underflow():
     _assert_breaks_lattice_in_logs(d, witness)
 
 
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dense_constructors_peak_near_their_output():
     # Both fold their cells in one coordinate at a time.  At n = 16 the
     # bound leaves room for a few copies of the 512 KiB output, not for a
@@ -476,10 +538,19 @@ def test_dense_constructors_peak_near_their_output():
     budget = PrivacyBudget(np.random.default_rng(3).uniform(0.05, 1.0, 16))
     for build in (lambda: max_biased_profile(16, budget, 1),
                   lambda: random_affiliated(16, np.random.default_rng(4))):
-        tracemalloc.start()
-        try:
-            build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert _traced_peak(build) < 6 * 2**20
+
+
+def test_normalizing_boxes_no_cell():
+    # At n = 18 the output is 2 MiB.  from_dense holds the clamped copy,
+    # the output and one block of its sum; IsingPrior.dense adds its
+    # energies and weights.  A list of the cells as Python floats would
+    # add 8 MiB to either.
+    n = 18
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.05, 1.0, 2**n)
+    sites = np.arange(1, n)
+    prior = IsingPrior(n=n, i=sites, j=rng.integers(0, sites), J=rng.uniform(0.0, 0.5, n - 1),
+                       h=rng.normal(0.0, 0.3, n))
+    assert _traced_peak(lambda: from_dense(n, 2, w)) < 3 * 2**21
+    assert _traced_peak(prior.dense) < 5 * 2**21

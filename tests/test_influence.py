@@ -170,6 +170,32 @@ def test_matches_oracle_with_zero_cells_and_larger_alphabets(d):
     assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alph,n", [(2, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5)])
+@pytest.mark.parametrize("flip", [False, True])
+def test_matches_oracle_on_both_face_layouts(alph, n, flip):
+    # Faces of x_j whose contiguous runs are short are read across, long
+    # ones along: these shapes hold both.  x_c is constant, so no context
+    # pair along it is admissible and the column reads 0; x_s = 1 is off
+    # the support exactly where x_t = 1, an unbounded entry.  With flip
+    # the special coordinates sit at the other end of the cell order.
+    c, s, t = (0, n - 1, n - 2) if flip else (n - 1, 0, 1)
+    rng = np.random.default_rng(100 * alph + n)
+    shape = (alph,) * n
+    digit = np.indices(shape)
+    w = rng.uniform(0.05, 1.0, size=shape)
+    w[rng.uniform(size=shape) < 0.1] = 0.0
+    w[digit[c] != 0] = 0.0
+    w[(digit[s] == 1) & (digit[t] == 1)] = 0.0
+    d = from_dense(n, alph, w.reshape(-1, order="F"))
+    got = influence_matrix(d).gamma
+    want = brute_influence(d)
+    assert math.isinf(got[s, t])
+    assert np.array_equal(got[:, c], np.zeros(n))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
 # --- spectral norm ------------------------------------------------------
 
 def test_spectral_norm_small_cases():
