@@ -46,17 +46,10 @@ def cell_fold(terms, op=np.add) -> np.ndarray:
 
 def add_pair(flat: np.ndarray, i: int, j: int, table) -> None:
     """Add table[x_i][x_j], a symmetric 2x2 table, to every cell of the
-    binary cell vector flat, in place, through its contiguous view.  A
-    table with zero entries is added only on the quarters where it is
-    nonzero."""
+    binary cell vector flat, in place, through its contiguous view."""
     lo, hi = sorted((i, j))
     view = flat.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
-    table = np.asarray(table, dtype=np.float64)
-    if np.all(table != 0.0):
-        view += table[:, None, :, None]
-        return
-    for u, v in zip(*np.nonzero(table)):
-        view[:, u, :, v] += table[u, v]
+    view += np.asarray(table, dtype=np.float64)[:, None, :, None]
 
 
 def odd_count(r: int, s: int) -> np.ndarray:
@@ -88,6 +81,9 @@ def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
 
 
 # Contiguous runs shorter than this many cells are read across instead.
+# One face difference with its fmax and fmin, on 2**16 binary cells (numpy,
+# 2 vCPUs): runs of 8 cells took 110 us along and 62 us across, runs of 16
+# took 85 us along and 139 us across.  Ternary runs of 9 tie.
 _SHORT_RUN = 16
 
 

@@ -105,7 +105,7 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
                                            out=buf.reshape(lc_faces[u].shape))
                         hi = np.fmax.reduce(diff, axis=None, initial=hi)
                         lo = np.fmin.reduce(diff, axis=None, initial=lo)
-                gamma[i, j] = 0.5 * max(0.0, hi, -lo)
+                gamma[i, j] = 0.5 * max(hi, -lo)
     return InfluenceMatrix(gamma=gamma)
 
 

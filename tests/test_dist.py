@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
-    add_pair,
     cell_tensor,
     conditional_means,
     faces,
@@ -101,18 +100,6 @@ def test_from_dense_divides_by_the_fsum_of_its_weights(case):
     n, alph, w = case
     want = w / math.fsum(w.tolist())
     assert np.array_equal(_bits(from_dense(n, alph, w).probs), _bits(want))
-
-
-def test_add_pair_skips_only_zero_quarters():
-    rng = np.random.default_rng(2)
-    base = rng.normal(size=2**6)
-    x = bit_table(6)
-    for table in ([[0.0, 0.0], [0.0, 0.7]], [[0.3, -0.3], [-0.3, 0.3]], [[0.0, 0.5], [0.5, 0.0]]):
-        for i, j in ((0, 1), (4, 1), (2, 5)):
-            got = base.copy()
-            add_pair(got, i, j, table)
-            want = base + np.asarray(table)[x[:, i], x[:, j]]
-            assert np.array_equal(got, want)
 
 
 def test_from_dense_shape_and_mass_errors():
