@@ -42,7 +42,7 @@ from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, max_biased_log, mechanism_nu
 
 # The LP of a binary prior at n = 12 has 2**11 variables and a 32 MB
-# normal matrix; nu_exact on a dense such prior took 18 s at 218 MB peak
+# normal matrix; nu_exact on random_affiliated(12) took 44 s at 219 MB peak
 # RSS (one BLAS thread, 2-vCPU VM).  Other alphabets get the same count.
 DEFAULT_LP_CAP = 12
 
@@ -133,7 +133,7 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha with v + alpha dv >= 0, at most 1."""
     neg = dv < 0.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg], initial=np.inf)))
+    return min(1.0, float(np.minimum.reduce(-v[neg] / dv[neg], initial=np.inf)))
 
 
 def _certify(c, e, rows, eps, alph, seed):
@@ -141,8 +141,9 @@ def _certify(c, e, rows, eps, alph, seed):
     profiles that meet the rows, the log-witness w attaining lower, and
     the iterations taken.  The log-profile seed, which must meet the
     budget, is the first witness.  Stops once the bounds meet within
-    _DIRECTION_GAP, at the iteration cap, or when an iterate or a bound
-    is not finite."""
+    _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
+    when an iterate or a bound is not finite.  The iterate is two vectors,
+    the primal [u, s] and the dual [z, y], so each side moves as one."""
     lo, hi, gain = rows
     size, nrows = c.size, lo.size
     kernel = _kernel(e, eps, alph)
@@ -169,16 +170,17 @@ def _certify(c, e, rows, eps, alph, seed):
 
     # u = 1 meets e.u = 1 and every row within its slack; the duals put
     # each product u z and s y at 1/size.
-    u, z, t = np.ones(size), np.full(size, 1.0 / size), 1.0
-    s, y = gain.copy(), 1.0 / (size * gain)
+    prim, t = np.concatenate([np.ones(size), gain]), 1.0
+    dual = np.concatenate([np.full(size, 1.0 / size), 1.0 / (size * gain)])
     lower, upper, witness = -math.inf, math.inf, None
     with np.errstate(all="ignore"):
         first = attained(seed)  # NaN where the seed's mass underflows
         if first > lower:
             lower, witness = first, seed
-        for it in range(_MAX_ITER):
-            if not all(np.all(np.isfinite(v)) for v in (u, s, y, z, t)):
+        for it in range(_MAX_ITER + 1):
+            if not (np.isfinite(prim).all() and np.isfinite(dual).all() and math.isfinite(t)):
                 break
+            u, s, z, y = prim[:size], prim[size:], dual[:size], dual[size:]
             # Certificate, from the iterate alone.
             w = _envelope(np.log(u), eps, alph)
             pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
@@ -193,22 +195,21 @@ def _certify(c, e, rows, eps, alph, seed):
             if low_here > lower:
                 lower, witness = low_here, w
             upper = min(upper, up_here)
-            if upper - lower <= _DIRECTION_GAP:
+            if upper - lower <= _DIRECTION_GAP or it == _MAX_ITER:
                 break
 
             # One predictor-corrector step.  With the slacks s = -A u and
             # the duals y, z eliminated, the Newton system is
             # H du + dt e = g, e.du = re, H = A^T diag(y/s) A + diag(z/u).
-            rp = a_mul(u) + s
-            re = 1.0 - e @ u
+            rp, re = a_mul(u) + s, 1.0 - e @ u
             mu = (u @ z + s @ y) / (size + nrows)
-            ys, zu = y / s, z / u
+            ratio = dual / prim
+            zu, ys = ratio[:size], ratio[size:]
             yg = ys * gain
             hmat = np.bincount(pairs, np.concatenate([-yg, -yg, ys, yg * gain]), size * size)
-            hmat[diag] += zu
             # A ridge relative to each diagonal entry keeps the factor
             # independent of how the profile's entries are scaled.
-            hmat[diag] *= 1.0 + 1e-14
+            hmat[diag] = (hmat[diag] + zu) * (1.0 + 1e-14)
             try:
                 inv_l = _lower_inverse(np.linalg.cholesky(hmat.reshape(size, size)))
             except np.linalg.LinAlgError:
@@ -219,28 +220,27 @@ def _certify(c, e, rows, eps, alph, seed):
 
             q = solve_h(e)
 
-            def newton(rc_u, rc_s):
-                g = -rd - at_mul(rc_s / s + ys * rp) + rc_u / u
-                du, dt = np.zeros(size), 0.0
-                for _ in range(2):
-                    # The second pass refines against the residual of the
-                    # dual equation, taken through A, not the factor.
-                    p = solve_h(g - at_mul(ys * a_mul(du)) - zu * du - dt * e)
-                    step_t = (e @ p - re + e @ du) / (e @ q)
-                    du, dt = du + p - step_t * q, dt + step_t
-                ds = -rp - a_mul(du)
-                return du, ds, (rc_s - y * ds) / s, (rc_u - z * du) / u, dt
+            def newton(rc):
+                rcp = rc / prim
+                g = -rd - at_mul(rcp[size:] + ys * rp) + rcp[:size]
+                p = solve_h(g)
+                step_t = (e @ p - re) / (e @ q)
+                du, dt = p - step_t * q, step_t
+                # A second pass refines on the dual residual taken through A.
+                p = solve_h(g - at_mul(ys * a_mul(du)) - zu * du - dt * e)
+                step_t = (e @ p - re + e @ du) / (e @ q)
+                du, dt = du + p - step_t * q, dt + step_t
+                dprim = np.concatenate([du, -rp - a_mul(du)])
+                return dprim, (rc - dual * dprim) / prim, dt
 
-            du, ds, dy, dz, dt = newton(-u * z, -s * y)
-            ap = min(_max_step(u, du), _max_step(s, ds))
-            ad = min(_max_step(z, dz), _max_step(y, dy))
-            gap_aff = (u + ap * du) @ (z + ad * dz) + (s + ap * ds) @ (y + ad * dy)
+            dp, dd, dt = newton(-prim * dual)
+            pa, da = prim + _max_step(prim, dp) * dp, dual + _max_step(dual, dd) * dd
+            gap_aff = pa[:size] @ da[:size] + pa[size:] @ da[size:]
             sigma_mu = (gap_aff / (size + nrows) / mu) ** 3 * mu
-            du, ds, dy, dz, dt = newton(sigma_mu - u * z - du * dz, sigma_mu - s * y - ds * dy)
-            ap = _STEP * min(_max_step(u, du), _max_step(s, ds))
-            ad = _STEP * min(_max_step(z, dz), _max_step(y, dy))
-            u, s = u + ap * du, s + ap * ds
-            y, z, t = y + ad * dy, z + ad * dz, t + ad * dt
+            dp, dd, dt = newton(sigma_mu - prim * dual - dp * dd)
+            ad = _STEP * _max_step(dual, dd)
+            prim = prim + _STEP * _max_step(prim, dp) * dp
+            dual, t = dual + ad * dd, t + ad * dt
     return lower, upper, witness, it
 
 

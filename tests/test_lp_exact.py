@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
+import infera.lp_exact as lp_exact
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
 from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
 from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from infera.ising import tree_prior
-from infera.lp_exact import GAP_TOL, nu_exact
+from infera.lp_exact import GAP_TOL, _max_step, nu_exact
 from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from lp_oracle import nu_grid_search, nu_vertex_enumeration
 
@@ -226,3 +227,83 @@ def test_lp_cap_counts_cells(monkeypatch):
     d = product([[0.2, 0.3, 0.5]] * 9)
     with pytest.raises(SizeCap):
         nu_exact(d, PrivacyBudget.uniform(9, 0.1), 0)
+
+
+def test_max_step_on_a_split_vector():
+    # _certify takes one step length per side of the iterate, [u, s] or
+    # [z, y]: over the whole vector it must be the smaller of the halves'.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        size = int(rng.integers(2, 40))
+        v = rng.uniform(0.01, 2.0, size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        dv = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        k = int(rng.integers(size + 1))
+        alpha = _max_step(v, dv)
+        assert alpha == min(_max_step(v[:k], dv[:k]), _max_step(v[k:], dv[k:]))
+        assert _max_step(v, np.abs(dv)) == 1.0
+        # The step that empties an entry leaves only its rounding.
+        assert np.all(v + alpha * dv >= -2.0 * np.finfo(float).eps * v)
+
+
+def test_iteration_cap_certifies_its_last_iterate(monkeypatch):
+    # Direction (0, 1) is refused first and wins here, so its bracket must
+    # hold the oracle's value; each direction takes 7 steps.
+    rng = np.random.default_rng(3)
+    d = from_dense(3, 2, rng.uniform(0.05, 1.0, 8))
+    b = PrivacyBudget(rng.uniform(0.05, 1.0, 3))
+    truth = nu_vertex_enumeration(d, b.eps, 0)
+    monkeypatch.setattr(lp_exact, "_MAX_ITER", 2)
+    with pytest.raises(LPError, match="after 2 interior-point iterations") as exc:
+        nu_exact(d, b, 0)
+    lower, upper = (float(v) for v in re.search(r"nu in \[(\S+), (\S+)\]", str(exc.value)).groups())
+    assert lower < upper and lower <= truth <= upper
+    # The iterate of the last allowed step is certified, not dropped.
+    monkeypatch.setattr(lp_exact, "_MAX_ITER", 7)
+    cert = nu_exact(d, b, 0)
+    assert cert.direction == (0, 1)
+    assert abs(cert.nu - truth) <= 1e-9
+
+
+def _family_draws(rng):
+    """Two n=6 draws of each family of the exact-lp benchmark, built by the
+    library: (name, prior, budget, target)."""
+    for fam in ("dense", "zero-cell", "affiliated", "product", "twins", "parity", "star"):
+        for _ in range(2):
+            if fam == "dense":
+                prior = from_dense(6, 2, rng.uniform(0.05, 1.0, 64))
+            elif fam == "zero-cell":
+                w = rng.uniform(0.05, 1.0, 64)
+                w[rng.random(64) < 0.25] = 0.0
+                prior = from_dense(6, 2, w)
+            elif fam == "affiliated":
+                prior = random_affiliated(6, rng)
+            elif fam == "product":
+                prior = product([[1.0 - v, v] for v in rng.uniform(0.05, 0.95, 6)])
+            elif fam == "twins":
+                prior = perfectly_correlated(6, float(rng.uniform(0.1, 0.9)))
+            elif fam == "parity":
+                prior = parity_constrained(1, 5)
+            else:
+                prior = tree_prior(d=5, depth=1, J=float(rng.uniform(0.1, 1.0)),
+                                   h0=float(rng.uniform(-0.5, 0.5))).dense()
+            yield fam, prior, PrivacyBudget(rng.uniform(0.05, 1.0, 6)), int(rng.integers(6))
+
+
+def test_interior_point_converges_within_its_step_budget(monkeypatch):
+    # No direction of these draws took more than 11 steps when this test
+    # was written: a rewrite that keeps the values but converges more
+    # slowly fails here.
+    most_steps = 11
+    steps = []
+    certify = lp_exact._certify
+
+    def counted(*args):
+        result = certify(*args)
+        steps.append(result[3])
+        return result
+
+    monkeypatch.setattr(lp_exact, "_certify", counted)
+    for fam, prior, budget, a in _family_draws(np.random.default_rng(42)):
+        del steps[:]
+        nu_exact(prior, budget, a)
+        assert steps and max(steps) <= most_steps + 2, (fam, steps)
