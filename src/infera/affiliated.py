@@ -69,7 +69,7 @@ def nu_closed_form(
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("closed form requires binary coordinates")
-    check_coordinate(dist.n, a)
+    a = check_coordinate(dist.n, a)
     affiliated, witness = is_positively_affiliated(dist)
     if not affiliated:
         raise NotAffiliated(

@@ -9,6 +9,7 @@ digits, so identical invocations produce byte-identical result sections.
 
 `check`, `nu` and `bound` import the numpy layers they run when they
 run, so the plain-float `ising` commands start without loading numpy.
+Where numpy is not installed, those three exit 2 with an error naming it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .bethe import (
     nu_bethe_limit,
     sensitivity_profile,
 )
-from .errors import (InferaError, NotAffiliated, ParseError, SizeCap, SpectralNormTooLarge,
-                     UnboundedInfluence, UnsupportedAlphabet)
+from .errors import (InferaError, MissingDependency, NotAffiliated, ParseError, SizeCap,
+                     SpectralNormTooLarge, UnboundedInfluence, UnsupportedAlphabet)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -377,7 +378,13 @@ def main(argv=None) -> int:
             "results": {},
             "warnings": [],
         }
-        code = args.func(args, report)
+        try:
+            code = args.func(args, report)
+        except ModuleNotFoundError as exc:
+            if exc.name is None or exc.name.partition(".")[0] != "numpy":
+                raise
+            raise MissingDependency(
+                f"infera {args.cmd} needs numpy, which is not installed") from exc
         report["results"] = _sig(report["results"])
         report["timing_ms"] = round((time.time() - t0) * 1000.0, 3)
         _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args)

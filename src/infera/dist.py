@@ -6,13 +6,15 @@ indexed little-endian: index(x) = sum_i x_i * alphabet_size**i, so
 coordinate 0 is the least significant digit.
 
 This module is the one place that maps cells to digits.  Everything else
-goes through cell_tensor, faces and face_views, and builds cell functions
-from per-coordinate terms with cell_fold and add_pair.
+goes through cell_tensor, faces, face_views and pair_marginals, and
+builds cell functions from per-coordinate terms with cell_fold and
+add_pair.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,20 +66,47 @@ def cell_tensor(flat: np.ndarray, n: int, alphabet_size: int) -> np.ndarray:
     return np.asarray(flat).reshape((alphabet_size,) * n, order="F")
 
 
-def check_coordinate(n: int, a: int) -> None:
-    """Raise DimensionMismatch unless 0 <= a < n."""
+def check_coordinate(n: int, a: int) -> int:
+    """a as an int; DimensionMismatch unless it is an integer with
+    0 <= a < n.  Integers are what operator.index accepts, numpy integers
+    included; a float such as 1.0 is refused."""
+    try:
+        a = operator.index(a)
+    except TypeError:
+        raise DimensionMismatch(f"coordinate {a!r} is not an integer") from None
     if not 0 <= a < n:
         raise DimensionMismatch(f"coordinate {a} out of range for n={n}")
+    return a
 
 
 def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
     """(alphabet_size, alphabet_size**(n - 1)) array of flat split along
     coordinate a: row z holds the cells with x_a = z, little-endian over
     the remaining coordinates in their original order."""
-    check_coordinate(n, a)
+    a = check_coordinate(n, a)
     return np.moveaxis(cell_tensor(flat, n, alphabet_size), a, 0).reshape(
         alphabet_size, -1, order="F"
     )
+
+
+def pair_marginals(flat: np.ndarray, n: int, alphabet_size: int, i: int) -> np.ndarray:
+    """(n - 1, alphabet_size, alphabet_size) array of the joint marginals
+    of x_i and x_j, for j = n - 1 down to 0 skipping i.  The face split
+    along x_i is copied contiguous; each step reads the marginal of its
+    most significant coordinate by summing contiguous runs, then adds its
+    alphabet_size slices to drop it.  Every entry is thus a sum along one
+    run or of a few slices at a time, accurate to a few ulps at any size."""
+    i = check_coordinate(n, i)
+    alph = alphabet_size
+    # In C order axis k of the reshaped cells is x_{n-1-k}.
+    order = [n - 1 - i] + [k for k in range(n) if k != n - 1 - i]
+    t = np.asarray(flat).reshape((alph,) * n).transpose(order).reshape(alph, -1)
+    out = np.empty((n - 1, alph, alph))
+    for k in range(n - 1):
+        t = t.reshape(alph, alph, -1)
+        np.add.reduce(t, axis=2, out=out[k])
+        t = np.add.reduce(t, axis=1)
+    return out
 
 
 # Contiguous runs shorter than this many cells are read across instead.
@@ -122,7 +151,7 @@ class JointDistribution:
 
     def marginal_of(self, i: int) -> np.ndarray:
         """Distribution of coordinate i."""
-        check_coordinate(self.n, i)
+        i = check_coordinate(self.n, i)
         axes = tuple(k for k in range(self.n) if k != i)
         return cell_tensor(self.probs, self.n, self.alphabet_size).sum(axis=axes)
 
@@ -212,6 +241,8 @@ def _exact_sum(w: np.ndarray) -> int:
 def product(marginals: Sequence[Sequence[float]], cap: int = DEFAULT_CAP) -> JointDistribution:
     """Independent prior with the given per-coordinate marginals."""
     mats = [np.asarray(m, dtype=np.float64) for m in marginals]
+    if not mats:
+        raise DimensionMismatch("a product prior needs at least one marginal")
     alphabet = mats[0].size
     if any(m.size != alphabet for m in mats):
         raise DimensionMismatch("marginals must share one alphabet size")
@@ -277,7 +308,7 @@ def biased_means(dist: JointDistribution, eps: np.ndarray, a: int):
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("biased means require binary coordinates")
-    check_coordinate(dist.n, a)
+    a = check_coordinate(dist.n, a)
     face = faces(dist.probs, dist.n, 2, a)
     scale = np.frexp(face.max(axis=1))[1]
     t = np.broadcast_to(np.ldexp(face, -scale[:, None]), (3,) + face.shape)

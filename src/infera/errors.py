@@ -64,3 +64,7 @@ class LPError(InferaError):
 
 class ParseError(InferaError):
     """Malformed input file or parameter string."""
+
+
+class MissingDependency(InferaError):
+    """A command needs a package that is not installed."""

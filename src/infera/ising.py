@@ -247,5 +247,5 @@ def nu_gibbs(prior: IsingPrior, eps: float, site: int) -> float:
     """Inference parameter of one site of a forest prior under a uniform budget."""
     if eps <= 0.0:
         raise DimensionMismatch("eps must be positive")
-    check_coordinate(prior.n, site)
+    site = check_coordinate(prior.n, site)
     return float(nu_tree(prior, PrivacyBudget.uniform(prior.n, eps))[site])

@@ -27,6 +27,15 @@ depend on how it was found.
 
 A direction is certified once the two meet; an LPError names both bounds
 otherwise.
+
+Coordinates independent of the target leave nu unchanged: if p = p_C (x)
+p_rest with a in C, averaging a profile over x_rest keeps its budget and
+both conditional means, and a profile on C held constant along x_rest is
+feasible on the whole.  So the LP runs over a's dependence block C only.
+C grows from a over the two-coordinate marginals, and is kept only when
+p matches p_C (x) p_rest cell by cell within a relative _BLOCK_TOL;
+otherwise, as on a parity prior, whose coordinates are pairwise but not
+jointly independent, C is every coordinate.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, faces
+from .dist import JointDistribution, cell_tensor, check_coordinate, faces, pair_marginals
 from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, max_biased_log, mechanism_nu
 
@@ -63,13 +72,21 @@ _MAX_ITER = 200
 _STEP = 0.99
 _AUDIT_TOL = 1e-9
 
+# Relative distance, cell by cell, within which the prior counts as the
+# product of a's block marginal and the rest's.  Each conditional mean of
+# a profile then moves by a factor within (1 +- _BLOCK_TOL) / (1 -+
+# _BLOCK_TOL), so nu, the log of a ratio of two, by 4 _BLOCK_TOL up to
+# terms of order _BLOCK_TOL**3; nu_upper adds 4 _BLOCK_TOL.
+_BLOCK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class NuCertificate:
     """Exact inference parameter with its optimizing event profile.
 
     nu is what the witness attains through mechanism_nu; no feasible
-    profile leaks more than nu_upper, and nu_upper - nu <= GAP_TOL.
+    profile leaks more than nu_upper, and nu_upper - nu <= GAP_TOL, plus
+    8 _BLOCK_TOL when the target's block leaves coordinates out.
     """
 
     nu: float
@@ -114,6 +131,53 @@ def _kernel(e: np.ndarray, eps: np.ndarray, alph: int) -> np.ndarray:
     for i, ei in enumerate(eps):
         t = -math.expm1(-ei) * t + math.exp(-ei) * t.sum(axis=i, keepdims=True)
     return t.reshape(-1, order="F")
+
+
+def _fold_out(t: np.ndarray, axes) -> np.ndarray:
+    """The tensor t summed over the given axes, one axis at a time, so
+    each cell adds one axis's few terms per step and stays accurate to a
+    few ulps."""
+    for k in sorted(axes, reverse=True):
+        t = np.add.reduce(t, axis=k)
+    return t
+
+
+def _dependence_block(dist: JointDistribution, a: int):
+    """(block, probs): the sorted coordinates of a's dependence block and
+    the prior's marginal on them, flat.
+
+    The block grows from a: a coordinate joins when its two-coordinate
+    marginal with a member departs from the product of their marginals
+    by more than a relative _BLOCK_TOL.  A block short of every
+    coordinate is kept only when the prior is the product of its block
+    marginal and the rest's, cell by cell within the same tolerance;
+    otherwise the block is every coordinate and probs the prior itself.
+    """
+    n, alph = dist.n, dist.alphabet_size
+    block, frontier, rest = {a}, [a], set(range(n)) - {a}
+    while frontier and rest:
+        i = frontier.pop()
+        pair = pair_marginals(dist.probs, n, alph, i)
+        indep = np.add.reduce(pair[0], axis=1)[:, None] * np.add.reduce(pair, axis=1)[:, None, :]
+        apart = np.abs(pair - indep) > _BLOCK_TOL * indep
+        dependent = np.logical_or.reduce(apart.reshape(n - 1, -1), axis=1)
+        others = [j for j in range(n - 1, -1, -1) if j != i]
+        joined = rest.intersection(np.asarray(others)[dependent].tolist())
+        rest -= joined
+        block |= joined
+        frontier += joined
+    if not rest:
+        return list(range(n)), dist.probs
+    block, rest = sorted(block), sorted(rest)
+    t = cell_tensor(dist.probs, n, alph)
+    p_block = _fold_out(t, rest)
+    factored = np.expand_dims(p_block, tuple(rest)) * np.expand_dims(_fold_out(t, block),
+                                                                     tuple(block))
+    gap = np.subtract(t, factored)
+    np.abs(gap, out=gap)
+    if np.all(gap <= np.multiply(factored, _BLOCK_TOL, out=factored)):
+        return block, p_block.reshape(-1, order="F")
+    return list(range(n)), dist.probs
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -252,46 +316,57 @@ def nu_exact(
 ) -> NuCertificate:
     """Exact inference parameter of coordinate a under the budget.
 
-    Certifies one LP per ordered pair of supported target values (see the
-    module docstring) and keeps the best.  A later direction wins only
-    when it beats the best by more than half of GAP_TOL, so for a
-    symmetric binary target a tie reports (0, 1).  The witness is the
-    winning direction's profile scaled to maximum entry one; it must meet
-    the budget under dp_audit, and its replay through mechanism_nu, which
-    is reported as nu, must lie within GAP_TOL below the largest upper
-    bound.  SizeCap is raised when the LP would have more than
-    2**(cap - 1) variables, or need more than _LP_BYTE_CAP bytes.
+    Finds a's dependence block C first (module docstring) and solves the
+    LP on the prior's marginal on C with C's budget.  Certifies one LP
+    per ordered pair of supported target values and keeps the best.  A
+    later direction wins only when it beats the best by more than half
+    of GAP_TOL, so for a symmetric binary target a tie reports (0, 1).
+    The witness is the winning direction's profile scaled to maximum
+    entry one and held constant along the coordinates outside C; it must
+    meet the budget under dp_audit, and its replay through mechanism_nu
+    on the whole prior, which is reported as nu, must lie within GAP_TOL
+    below the largest upper bound.  When C leaves coordinates out, that
+    bound is widened by 4 _BLOCK_TOL and the window by twice that.
+    SizeCap is raised when the LP on C would have more than 2**(cap - 1)
+    variables, or need more than _LP_BYTE_CAP bytes.
     """
     n, alph = dist.n, dist.alphabet_size
     if budget.n != n:
         raise DimensionMismatch(f"budget length {budget.n} != n={n}")
-    size = alph ** (n - 1)
+    a = check_coordinate(n, a)
+    block, probs = _dependence_block(dist, a)
+    k = len(block)
+    size = alph ** (k - 1)
     if size > 2 ** (cap - 1):
         raise SizeCap(
-            f"LP over {alph}**{n - 1} profile cells exceeds the cap 2**{cap - 1} (--lp-cap {cap})"
+            f"LP over {alph}**{k - 1} profile cells exceeds the cap 2**{cap - 1} (--lp-cap {cap})"
         )
     if 48 * size**2 > _LP_BYTE_CAP:
         raise SizeCap(f"LP over {size} variables needs {48 * size**2} bytes, cap {_LP_BYTE_CAP}")
-    gains = np.empty(n)
-    for i, ei in enumerate(budget.eps):
+    gains = np.empty(k)
+    for i, coord in enumerate(block):
         try:
-            gains[i] = math.exp(ei)
+            gains[i] = math.exp(budget.eps[coord])
         except OverflowError:
-            raise LPError(f"eps_{i} = {ei} overflows the constraint coefficient e^eps_{i}") from None
-    marg = dist.marginal_of(a)
-    supported = [z for z in range(alph) if marg[z] > 0.0]
+            raise LPError(f"eps_{coord} = {budget.eps[coord]} overflows the constraint "
+                          f"coefficient e^eps_{coord}") from None
+    a_block = block.index(a)
+    # The prior on C given x_a = z, for every supported z.
+    cond = {}
+    for z, face in enumerate(faces(probs, k, alph, a_block)):
+        mass = math.fsum(face.tolist())
+        if mass > 0.0:
+            cond[z] = face / mass
+    supported = list(cond)
     if len(supported) < 2:
         raise DegenerateDistribution(f"coordinate {a} is deterministic under the prior")
 
-    eps = np.delete(budget.eps, a)
-    rows = _ratio_rows(n - 1, alph, np.delete(gains, a))
+    eps = budget.eps[[c for c in block if c != a]]
+    rows = _ratio_rows(k - 1, alph, np.delete(gains, a_block))
     eps_a = float(budget.eps[a])
     best = None
     nu_upper = -math.inf
     per_direction: Dict[Tuple[int, int], float] = {}
-    # The prior given x_a = z, for every supported z.
-    cond = {z: face / math.fsum(face.tolist())
-            for z, face in enumerate(faces(dist.probs, n, alph, a)) if z in supported}
     for z0 in supported:
         e = cond[z0]
         for z1 in supported:
@@ -314,7 +389,10 @@ def nu_exact(
 
     _, direction, w = best
     layers = [w + (eps_a if v == direction[1] else 0.0) for v in range(alph)]
-    logm = np.stack([cell_tensor(f, n - 1, alph) for f in layers], axis=a).reshape(-1, order="F")
+    logm = np.stack([cell_tensor(f, k - 1, alph) for f in layers], axis=a_block)
+    # Constant along the coordinates outside the block.
+    rest = tuple(c for c in range(n) if c not in block)
+    logm = np.broadcast_to(np.expand_dims(logm, rest), (alph,) * n).reshape(-1, order="F")
     values = np.exp(logm - logm.max())
     if values.min() <= 0.0:
         raise LPError("witness entries underflow: the budget spans more than e^745")
@@ -322,8 +400,13 @@ def nu_exact(
     if np.any(dp_audit(witness).eps > budget.eps + _AUDIT_TOL):
         raise LPError("witness violates the privacy budget beyond tolerance")
     nu = mechanism_nu(dist, witness, a)
-    if not nu_upper - GAP_TOL - 1e-12 <= nu <= nu_upper + 1e-12:
-        raise LPError(f"witness replay {nu} lies outside [{nu_upper - GAP_TOL}, {nu_upper}]")
+    # The block's LP bounds nu on p_C (x) p_rest; the prior is within
+    # _BLOCK_TOL of it cell by cell, which moves both ends.
+    spread = 4 * _BLOCK_TOL if rest else 0.0
+    nu_upper += spread
+    lowest = nu_upper - GAP_TOL - 2 * spread
+    if not lowest - 1e-12 <= nu <= nu_upper + 1e-12:
+        raise LPError(f"witness replay {nu} lies outside [{lowest}, {nu_upper}]")
     # A feasible witness attains nu, so roundoff alone can put it above.
     nu_upper = max(nu_upper, nu)
     with np.errstate(over="ignore"):

@@ -302,11 +302,17 @@ def test_nu_exact_refuses_an_lp_too_large_for_memory(write_json):
     assert proc.stderr.startswith("error: LP over 16384 variables needs 12884901888 bytes")
 
 
+def _dense_ternary_9():
+    """A seeded dense prior on nine ternary coordinates, as a file object."""
+    probs = np.random.default_rng(9).uniform(0.05, 1.0, 3**9)
+    return {"n": 9, "alphabet": 3, "probs": probs.tolist()}
+
+
 def test_nu_all_fails_when_no_method_answers(write_json, capsys):
-    # Nine ternary coordinates: the LP is over the cap, the closed form
-    # needs binary coordinates and the prior is not a tree.
-    path = write_json("ternary.json", {"generator": "product",
-                                       "params": {"marginals": [[0.2, 0.3, 0.5]] * 9}})
+    # Nine ternary coordinates, none independent of the target: the LP is
+    # over the cap, the closed form needs binary coordinates and the prior
+    # is not a tree.
+    path = write_json("ternary.json", _dense_ternary_9())
     code = main(["nu", "--dist", path, "--eps", "0.1", "--method", "all"])
     captured = capsys.readouterr()
     assert code == 2
@@ -615,13 +621,29 @@ def test_nu_rejects_non_finite_eps(write_json, capsys, prior, argv):
 
 
 def test_nu_exact_lp_cap_counts_cells(write_json, capsys):
-    # Nine ternary coordinates: 3**8 LP variables, past the default cap.
-    path = write_json("ternary.json", {"generator": "product",
-                                       "params": {"marginals": [[0.2, 0.3, 0.5]] * 9}})
+    # Nine ternary coordinates, none independent of the target: 3**8 LP
+    # variables, past the default cap.
+    path = write_json("ternary.json", _dense_ternary_9())
     code = main(["nu", "--dist", path, "--eps", "0.1", "--method", "exact"])
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err and "error: unexpected" not in captured.err
+
+
+def test_product_past_the_lp_cap_answers_its_own_budget(write_json, capsys):
+    # Fourteen coordinates, 2**13 LP variables over all of them, past both
+    # the default --lp-cap and --lp-cap 2; each coordinate's block is itself.
+    marginals = [[0.3, 0.7], [0.6, 0.4]] * 7
+    path = write_json("product14.json", {"generator": "product",
+                                         "params": {"marginals": marginals}})
+    eps = [round(0.05 + 0.06 * i, 2) for i in range(14)]
+    for extra in ([], ["--lp-cap", "2"]):
+        code, report = _run(capsys, ["nu", "--dist", path, "--target", "9", "--eps",
+                                     ",".join(map(str, eps)), "--method", "exact"] + extra)
+        assert code == 0
+        res = report["results"]
+        assert abs(res["nu"] - eps[9]) <= 1e-12
+        assert res["nu"] <= res["nu_upper"] <= res["nu"] + 1e-9
 
 
 @pytest.mark.parametrize("eps", ["2000", "1e308"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infera
 from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
@@ -17,6 +18,7 @@ from infera.dist import (
     from_dense,
     is_pairwise_positively_correlated,
     is_positively_affiliated,
+    pair_marginals,
     parity_constrained,
     perfectly_correlated,
     product,
@@ -335,6 +337,32 @@ def test_cell_tensor_and_faces_match_index_loops():
                 assert np.array_equal(faces(flat, n, alph, a)[z], want)
 
 
+def test_pair_marginals_match_their_definition():
+    rng = np.random.default_rng(12)
+    for n, alph in ((2, 2), (4, 2), (3, 3), (5, 2)):
+        flat = rng.uniform(0.0, 1.0, alph**n)
+        for i in range(n):
+            got = pair_marginals(flat, n, alph, i)
+            others = [j for j in reversed(range(n)) if j != i]
+            assert got.shape == (n - 1, alph, alph)
+            for k, j in enumerate(others):
+                want = np.zeros((alph, alph))
+                for c in range(alph**n):
+                    x = _digits_of(c, n, alph)
+                    want[x[i], x[j]] += flat[c]
+                assert np.allclose(got[k], want, rtol=1e-14, atol=0.0), (n, alph, i, j)
+
+
+def test_pair_marginals_stay_exact_on_a_large_product():
+    # Summed naively along strided axes, these 2**18-cell sums drift by
+    # about 1e-12, the tolerance of nu_exact's independence test.
+    d = product([[0.3, 0.7]] * 20)
+    want = np.outer([0.3, 0.7], [0.3, 0.7])
+    for i in (0, 7, 19):
+        got = pair_marginals(d.probs, 20, 2, i)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
 def test_coordinate_range_checks():
     d = product([[0.5, 0.5]] * 3)
     for a in (3, 7, -1):
@@ -342,6 +370,45 @@ def test_coordinate_range_checks():
             d.marginal_of(a)
         with pytest.raises(DimensionMismatch):
             conditional_means(d, d.probs, a)
+
+
+def _coordinate_entry_points():
+    """Every public function that takes a coordinate, as (name, call)."""
+    d = product([[0.3, 0.7]] * 3)
+    budget = infera.PrivacyBudget.uniform(3, 0.2)
+    profile = infera.max_biased_profile(3, budget, 0)
+    tree = infera.tree_prior(d=2, depth=1, J=0.3)
+    return [
+        ("marginal_of", d.marginal_of),
+        ("conditional_means", lambda a: conditional_means(d, profile.values, a)),
+        ("mechanism_nu", lambda a: infera.mechanism_nu(d, profile, a)),
+        ("nu_exact", lambda a: infera.nu_exact(d, budget, a)),
+        ("nu_closed_form", lambda a: infera.nu_closed_form(d, budget, a)),
+        ("nu_gibbs", lambda a: infera.nu_gibbs(tree, 0.2, a)),
+    ]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, "1", None])
+def test_coordinate_must_be_an_integer(a):
+    # 0.5 once read as coordinate 0 and 1.0 raised a bare IndexError or
+    # TypeError; numpy integers and bools, which operator.index takes,
+    # must give what the int does.
+    for name, call in _coordinate_entry_points():
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            call(a)
+        want = _value(call(1))
+        for same in (np.int64(1), np.uint8(1), True):
+            assert _value(call(same)) == want, (name, same)
+
+
+def _value(result):
+    """A result's repr, of its nu where it has one."""
+    return repr(getattr(result, "nu", result))
+
+
+def test_product_of_no_marginals_is_refused():
+    with pytest.raises(DimensionMismatch):
+        product([])
 
 
 def _lattice_holds(p):

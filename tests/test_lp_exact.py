@@ -2,14 +2,18 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infera.lp_exact as lp_exact
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
-from infera.dist import from_dense, parity_constrained, perfectly_correlated, product
+from infera.dist import (cell_fold, cell_tensor, from_dense, parity_constrained,
+                         perfectly_correlated, product)
 from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from infera.ising import tree_prior
 from infera.lp_exact import GAP_TOL, _max_step, nu_exact
@@ -131,9 +135,11 @@ def test_nu_exact_against_grid_oracle():
 
 
 def test_nu_exact_guards():
+    # Twins have no independent coordinate, so the LP keeps all 2**12
+    # variables, past the default cap.
     with pytest.raises(SizeCap):
         nu_exact(
-            product([[0.5, 0.5]] * 13),
+            perfectly_correlated(13, 0.5),
             PrivacyBudget.uniform(13, 0.1),
             0,
         )
@@ -219,12 +225,13 @@ def test_single_coordinate_gives_own_budget():
 
 def test_lp_cap_counts_cells(monkeypatch):
     # 3**8 LP variables exceed the default cap's 2**11: the LP is refused
-    # before anything is built for it.
+    # before anything is built for it.  A seeded dense prior has no
+    # independent coordinate to leave out.
     def never(*args):
         raise AssertionError("LP solved past the cap")
 
     monkeypatch.setattr("infera.lp_exact._certify", never)
-    d = product([[0.2, 0.3, 0.5]] * 9)
+    d = from_dense(9, 3, np.random.default_rng(9).uniform(0.05, 1.0, 3**9))
     with pytest.raises(SizeCap):
         nu_exact(d, PrivacyBudget.uniform(9, 0.1), 0)
 
@@ -307,3 +314,134 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
         del steps[:]
         nu_exact(prior, budget, a)
         assert steps and max(steps) <= most_steps + 2, (fam, steps)
+
+
+# --- dependence blocks ---------------------------------------------------
+
+def _blocks_prior(blocks, n):
+    """The product prior over n binary coordinates of the given blocks:
+    (coords, probs) pairs, probs little-endian over coords in the order
+    listed, the coords of all blocks covering range(n) once."""
+    t = np.ones((2,) * n)
+    for coords, probs in blocks:
+        block = np.transpose(cell_tensor(probs, len(coords), 2), np.argsort(coords))
+        t = t * np.expand_dims(block, tuple(i for i in range(n) if i not in coords))
+    return from_dense(n, 2, t.reshape(-1, order="F"))
+
+
+def _block_probs(kind, size, rng):
+    """Flat probabilities of one block: a dense positive prior, twins, the
+    uniform prior on even-parity strings (pairwise independent but not
+    jointly, from three coordinates on), or a biased coin."""
+    if kind == "dense":
+        return rng.uniform(0.05, 1.0, 2**size)
+    if kind == "twins":
+        return perfectly_correlated(size, float(rng.uniform(0.1, 0.9))).probs
+    if kind == "parity":
+        return 1.0 - cell_fold([(0, 1)] * size) % 2
+    q = float(rng.uniform(0.05, 0.95))
+    return np.array([1.0 - q, q])
+
+
+def _unreduced(dist, a):
+    """The dependence block that leaves no coordinate out."""
+    return list(range(dist.n)), dist.probs
+
+
+@st.composite
+def _partitioned_priors(draw):
+    """(prior, budget, target, block): a prior over at most 10 coordinates
+    that is the product of blocks of random kinds at interleaved
+    positions, and the target's block as the search must find it."""
+    kinds = draw(st.lists(st.sampled_from(["dense", "twins", "parity", "coin"]),
+                          min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = []
+    for kind in kinds:
+        size = 1 if kind == "coin" else draw(st.integers(2, 4))
+        if sum(sizes) + size > 10:
+            break
+        sizes.append(size)
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    blocks, start = [], 0
+    for kind, size in zip(kinds, sizes):
+        blocks.append((kind, list(perm[start:start + size])))
+        start += size
+    prior = _blocks_prior([(coords, _block_probs(kind, len(coords), rng))
+                           for kind, coords in blocks], n)
+    a = draw(st.integers(0, n - 1))
+    kind, coords = next(b for b in blocks if a in b[1])
+    # Parity blocks from three coordinates on pass every pair test but
+    # fail the joint check, so the search falls back to every coordinate.
+    block = list(range(n)) if kind == "parity" and len(coords) >= 3 else sorted(coords)
+    return prior, PrivacyBudget(rng.uniform(0.05, 1.0, n)), a, block
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_partitioned_priors())
+def test_block_lp_agrees_with_the_unreduced_lp(case):
+    prior, budget, a, block = case
+    assert lp_exact._dependence_block(prior, a)[0] == block
+    cert = nu_exact(prior, budget, a)
+    with mock.patch.object(lp_exact, "_dependence_block", _unreduced):
+        full = nu_exact(prior, budget, a)
+    # Both intervals hold the true nu.
+    assert cert.nu <= full.nu_upper + 1e-12 and full.nu <= cert.nu_upper + 1e-12
+    assert cert.nu_upper - cert.nu <= GAP_TOL + 8 * lp_exact._BLOCK_TOL
+    assert cert.per_direction.keys() == full.per_direction.keys()
+    if len(block) == prior.n:
+        assert cert.nu == full.nu and cert.nu_upper == full.nu_upper
+
+
+@pytest.mark.parametrize("blocks,n,a", [
+    ([([0], [0.3, 0.7]), ([1], [0.6, 0.4])], 2, 1),
+    ([([0, 2], [0.4, 0.1, 0.2, 0.3]), ([1], [0.25, 0.75])], 3, 2),
+    ([([1, 2], [0.5, 0.0, 0.0, 0.5]), ([0], [0.8, 0.2])], 3, 1),
+    # Pairwise independent, not jointly: every coordinate stays.
+    ([([0, 1, 2], [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])], 3, 0),
+], ids=["coins", "dense-pair-and-coin", "twins-and-coin", "parity"])
+def test_block_lp_against_vertex_oracle(blocks, n, a):
+    prior = _blocks_prior(blocks, n)
+    budget = PrivacyBudget(np.array([0.35, 0.8, 0.55][:n]))
+    cert = nu_exact(prior, budget, a)
+    ref = nu_vertex_enumeration(prior, budget.eps, a)
+    assert abs(cert.nu - ref) <= 1e-9
+    assert cert.nu - 1e-9 <= ref <= cert.nu_upper + 1e-9
+
+
+def test_parity_prior_keeps_every_coordinate():
+    # Every pair of its coordinates is independent, yet x_0 is their parity.
+    for r, s in ((1, 2), (2, 2), (1, 5)):
+        prior = parity_constrained(r, s)
+        block, probs = lp_exact._dependence_block(prior, 0)
+        assert block == list(range(prior.n)) and probs is prior.probs
+
+
+def test_product_of_twenty_coordinates_answers_its_own_budget():
+    # 2**19 LP variables if no coordinate left; the block is the target.
+    rng = np.random.default_rng(20)
+    prior = product([[1.0 - q, q] for q in rng.uniform(0.05, 0.95, 20)])
+    budget = PrivacyBudget(rng.uniform(0.05, 1.0, 20))
+    cert = nu_exact(prior, budget, 13)
+    assert abs(cert.nu - budget.eps[13]) <= 1e-12
+    assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
+    assert cert.per_direction.keys() == {(0, 1), (1, 0)}
+
+
+def test_affiliated_block_among_independent_coordinates():
+    # random_affiliated(6) at scattered positions of 16 coordinates, the
+    # other ten independent coins: nu is that of the 6-coordinate prior.
+    rng = np.random.default_rng(16)
+    core = random_affiliated(6, rng)
+    coords = [1, 4, 5, 9, 12, 15]
+    coins = [([c], [1.0 - q, q]) for c, q in
+             zip([c for c in range(16) if c not in coords], rng.uniform(0.05, 0.95, 10))]
+    prior = _blocks_prior([(coords, core.probs)] + coins, 16)
+    budget = PrivacyBudget(rng.uniform(0.05, 1.0, 16))
+    for k, a in enumerate(coords[::2]):
+        cert = nu_exact(prior, budget, a)
+        small = nu_exact(core, PrivacyBudget(budget.eps[coords]), coords.index(a))
+        assert abs(cert.nu - small.nu) <= GAP_TOL
+        assert cert.nu <= small.nu_upper + 1e-12 and small.nu <= cert.nu_upper
+        assert np.all(dp_audit(cert.witness).eps <= budget.eps + 1e-9)

@@ -76,6 +76,34 @@ def test_ising_commands_run_without_numpy():
         assert _untimed(text) == _untimed(out.getvalue()), argv
 
 
+# Runs each argv through cli.main with numpy unimportable and prints
+# [exit code, stderr] per command as one JSON list.
+NUMPY_COMMANDS_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from infera.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_numpy_commands_name_the_missing_dependency(tmp_path):
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({"generator": "twins", "params": {"n": 2, "p_one": 0.5}}))
+    argvs = [["check", "--dist", str(path)],
+             ["nu", "--dist", str(path), "--eps", "0.1"],
+             ["bound", "--dist", str(path), "--eps", "0.1"]]
+    runs = json.loads(_python(NUMPY_COMMANDS_WITHOUT_NUMPY, json.dumps(argvs)))
+    for argv, (code, err) in zip(argvs, runs):
+        assert code == 2, argv
+        assert err == f"error: infera {argv[0]} needs numpy, which is not installed\n", argv
+
+
 @pytest.mark.parametrize("module", ["infera", "infera.cli"])
 def test_import_leaves_numpy_unloaded(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
