@@ -44,6 +44,7 @@ _EXPORTS = {
     ),
     "ising": ("IsingPrior", "IsingTreeModel", "ising_tree_distribution", "nu_gibbs", "nu_tree",
               "tree_prior"),
+    "methods": ("Leakage", "leakage"),
     "bethe": (
         "bethe_fixed_point",
         "critical_coupling",

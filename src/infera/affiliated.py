@@ -69,6 +69,8 @@ def nu_closed_form(
     """
     if dist.alphabet_size != 2:
         raise UnsupportedAlphabet("closed form requires binary coordinates")
+    if budget.n != dist.n:
+        raise DimensionMismatch("budget length must equal n")
     a = check_coordinate(dist.n, a)
     affiliated, witness = is_positively_affiliated(dist)
     if not affiliated:
@@ -76,8 +78,6 @@ def nu_closed_form(
             f"prior is not positively affiliated; witness {witness}",
             witness=witness,
         )
-    if budget.n != dist.n:
-        raise DimensionMismatch("budget length must equal n")
     masses, means = biased_means(dist, budget.eps, a)
     branches = []
     for z in (0, 1):

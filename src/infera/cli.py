@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on a negative finding (failed check,
 non-affiliated prior for the closed form, unreachable target), 2 on any
 error.  `main` writes each command's JSON report: it repeats the command
 line, digests the input file, and renders results with 12 significant
-digits, so identical invocations produce byte-identical result sections.
+digits, so identical invocations produce byte-identical result sections;
+numbers that move with roundoff go unrounded to `diagnostics` instead.
 `ising sweep` prints CSV rows instead.
 
 `check`, `nu` and `bound` import the numpy layers they run when they
@@ -30,8 +31,8 @@ from .bethe import (
     nu_bethe_limit,
     sensitivity_profile,
 )
-from .errors import (InferaError, MissingDependency, NotAffiliated, ParseError, SizeCap,
-                     SpectralNormTooLarge, UnboundedInfluence, UnsupportedAlphabet)
+from .errors import (InferaError, MissingDependency, NotAffiliated, ParseError,
+                     SpectralNormTooLarge, UnboundedInfluence)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -115,27 +116,11 @@ def _load(args) -> Tuple[object, int]:
     return load_distribution(args.dist, cap=cap), cap
 
 
-def _dense(prior, cap: int):
-    """The prior over all its cells; an IsingPrior is enumerated within cap."""
-    from .ising import IsingPrior
-
-    return prior.dense(cap) if isinstance(prior, IsingPrior) else prior
-
-
-def _tree_nu(prior, budget, target: int) -> float:
-    from .dist import check_coordinate
-    from .ising import IsingPrior, nu_tree
-
-    if not isinstance(prior, IsingPrior):
-        raise ParseError("--method gibbs needs an ising_tree generator file")
-    check_coordinate(prior.n, target)
-    return float(nu_tree(prior, budget)[target])
-
-
 def cmd_check(args, report: dict) -> int:
     from .dist import is_pairwise_positively_correlated, is_positively_affiliated
 
-    dist = _dense(*_load(args))
+    prior, cap = _load(args)
+    dist = prior.dense(cap)
     results = report["results"]
     failed = False
     what = args.what
@@ -153,81 +138,49 @@ def cmd_check(args, report: dict) -> int:
 
 
 def cmd_nu(args, report: dict) -> int:
-    from .affiliated import nu_closed_form
     from .files import save_mechanism
-    from .ising import IsingPrior
-    from .lp_exact import DEFAULT_LP_CAP, nu_exact
+    from .lp_exact import DEFAULT_LP_CAP
+    from .methods import leakage
 
     prior, cap = _load(args)
     budget = _parse_eps(args.eps, prior.n)
     lp_cap = DEFAULT_LP_CAP if args.lp_cap is None else _positive(args.lp_cap, "--lp-cap")
     results = report["results"]
-    results["n"] = prior.n
-    results["target"] = args.target
-    results["method"] = args.method
-    if args.method == "gibbs":
-        results["nu"] = _tree_nu(prior, budget, args.target)
-    elif args.method == "exact":
-        cert = nu_exact(_dense(prior, cap), budget, args.target, cap=lp_cap)
-        results["nu"] = cert.nu
-        results["nu_upper"] = cert.nu_upper
-        results["direction"] = list(cert.direction)
-        results["lp_objective"] = cert.lp_objective
-        results["per_direction"] = {
-            f"{z0}->{z1}": v for (z0, z1), v in sorted(cert.per_direction.items())
-        }
+    results.update(n=prior.n, target=args.target, method=args.method)
+    try:
+        found = leakage(prior, budget, args.target, args.method, cap=cap, lp_cap=lp_cap)
+    except NotAffiliated as exc:
+        # Only the closed form on its own raises this: "all" skips it.
+        results["nu"] = None
+        results["not_affiliated_witness"] = [list(w) for w in exc.witness]
+        report["warnings"].append(str(exc))
+        return EXIT_FINDING
+    report["warnings"] += found.warnings
+    results["nu"] = found.nu
+    answer = found.answers.get(args.method)
+    if args.method == "exact":
+        per_direction = sorted(answer.per_direction.items())
+        results.update(nu_upper=answer.nu_upper, direction=list(answer.direction),
+                       lp_objective=answer.lp_objective,
+                       per_direction={f"{z0}->{z1}": v for (z0, z1), v in per_direction})
         if args.witness_out:
-            save_mechanism(args.witness_out, cert.witness)
+            save_mechanism(args.witness_out, answer.witness)
             results["witness_file"] = args.witness_out
     elif args.method == "closed-form":
-        try:
-            res = nu_closed_form(_dense(prior, cap), budget, args.target)
-        except NotAffiliated as exc:
-            results["nu"] = None
-            results["not_affiliated_witness"] = [list(w) for w in exc.witness]
-            report["warnings"].append(str(exc))
-            return EXIT_FINDING
-        results["nu"] = res.nu
-        results["winning_z"] = res.winning_z
-        results["numerator"] = res.numerator
-        results["denominator"] = res.denominator
-    else:  # all
-        values = {}
-        try:
-            dist = _dense(prior, cap)
-        except SizeCap as exc:
-            # A tree past --cap still has its exact recursion.
-            report["warnings"] += [f"exact LP skipped: {exc}", f"closed form skipped: {exc}"]
-        else:
-            try:
-                values["exact"] = nu_exact(dist, budget, args.target, cap=lp_cap).nu
-            except SizeCap as exc:
-                lp_refusal = exc
-                report["warnings"].append(f"exact LP skipped: {exc}")
-            try:
-                values["closed_form"] = nu_closed_form(dist, budget, args.target).nu
-            except (NotAffiliated, UnsupportedAlphabet) as exc:
-                report["warnings"].append(f"closed form skipped: {exc}")
-        if isinstance(prior, IsingPrior):
-            values["gibbs"] = _tree_nu(prior, budget, args.target)
-        if not values:
-            raise lp_refusal
-        results.update(values)
-        # The certified value first, then the exact tree recursion.
-        results["nu"] = next(values[k] for k in ("exact", "gibbs", "closed_form") if k in values)
-        spread = max(values.values()) - min(values.values())
-        results["max_discrepancy"] = spread
-        if spread > 1e-6:
-            report["warnings"].append(
-                f"methods disagree by {spread:.3e}, beyond 1e-6"
-            )
+        results.update(winning_z=answer.winning_z, numerator=answer.numerator,
+                       denominator=answer.denominator)
+    elif args.method == "all":
+        for name, value in found.answers.items():
+            results[name.replace("-", "_")] = getattr(value, "nu", value)
+        report["diagnostics"]["max_discrepancy"] = found.spread
     return EXIT_OK
 
 
 def cmd_bound(args, report: dict) -> int:
     from .influence import dobrushin_bounds, influence_matrix, spectral_norm
 
-    dist = _dense(*_load(args))
+    prior, cap = _load(args)
+    dist = prior.dense(cap)
     budget = _parse_eps(args.eps, dist.n)
     results = report["results"]
     matrix = influence_matrix(dist)
@@ -364,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse the arguments, run the command and write its JSON report once:
     the command line, the input file and its digest, the command's
-    results and warnings, and the time it took."""
+    results, warnings and diagnostics, and the time it took."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     t0 = time.time()
@@ -377,6 +330,7 @@ def main(argv=None) -> int:
             "inputs": {} if path is None else {"dist": path, "digest": _digest(path)},
             "results": {},
             "warnings": [],
+            "diagnostics": {},
         }
         try:
             code = args.func(args, report)

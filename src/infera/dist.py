@@ -143,6 +143,10 @@ class JointDistribution:
             )
         self.probs.setflags(write=False)
 
+    def dense(self, cap: int = DEFAULT_CAP) -> "JointDistribution":
+        """The prior over all its cells: itself, as `IsingPrior.dense` would give."""
+        return self
+
     def index_of(self, x: Sequence[int]) -> int:
         """Flat index of the database x; DimensionMismatch unless x has
         exactly n digits, each an integer (numpy integers included) in

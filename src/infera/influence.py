@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointDistribution, cell_tensor, face_views
+from .dist import JointDistribution, face_views
 from .errors import (
     DegenerateDistribution,
     DimensionMismatch,
@@ -81,16 +81,11 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
     with np.errstate(invalid="ignore", divide="ignore"):
         log_p = np.log(probs)
         for i in range(n):
-            # The mass of each context of x_i, added in the order of
-            # numpy's sum along x_i: face by face, but pairwise over the
-            # adjacent cells of site 0.
-            if i == 0:
-                ctx = cell_tensor(probs, n, alph).sum(axis=0).reshape(1, -1, order="F")
-            else:
-                p_faces = face_views(probs, alph, i)
-                ctx = np.add(p_faces[0], p_faces[1], out=buf.reshape(p_faces[0].shape))
-                for face in p_faces[2:]:
-                    ctx += face
+            # The mass of each context of x_i, added face by face.
+            p_faces = face_views(probs, alph, i)
+            ctx = np.add(p_faces[0], p_faces[1], out=buf.reshape(p_faces[0].shape))
+            for face in p_faces[2:]:
+                ctx += face
             log_ctx = np.log(ctx, out=ctx)
             for lp, out in zip(face_views(log_p, alph, i), face_views(lc, alph, i)):
                 np.subtract(lp, log_ctx, out=out)

@@ -153,6 +153,21 @@ def test_closed_form_rejects_out_of_range_target():
                 nu_closed_form(d, PrivacyBudget.uniform(3, 0.3), a)
 
 
+def test_closed_form_checks_the_budget_length_before_the_scan(monkeypatch):
+    # A budget of the wrong length is an error, not a NotAffiliated
+    # finding on the parity prior, and no affiliation scan runs first.
+    import infera.affiliated
+
+    def scan(dist):
+        raise AssertionError("affiliation scan ran")
+
+    d = parity_constrained(1, 3)
+    assert d.n != 3
+    monkeypatch.setattr(infera.affiliated, "is_positively_affiliated", scan)
+    with pytest.raises(DimensionMismatch, match="budget length"):
+        nu_closed_form(d, PrivacyBudget.uniform(3, 0.2), 0)
+
+
 def test_underflowing_branch_is_a_typed_error():
     # At eps = 1000 every database off the biased value weighs e^-1000 = 0
     # in floats, so the denominator mean vanishes and no finite nu is sound.

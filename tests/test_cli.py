@@ -115,7 +115,8 @@ def test_nu_all_methods_agree_on_tree(write_json, capsys):
     assert code == 0
     res = report["results"]
     assert {"exact", "closed_form", "gibbs"} <= set(res)
-    assert res["max_discrepancy"] <= 1e-6
+    assert "max_discrepancy" not in res
+    assert report["diagnostics"]["max_discrepancy"] <= 1e-6
     assert report["warnings"] == []
 
 
@@ -261,7 +262,7 @@ def test_nu_all_skips_an_lp_over_the_cap(write_json, capsys):
     assert "exact" not in res
     assert abs(res["gibbs"] - res["closed_form"]) <= 1e-9
     assert res["nu"] == res["gibbs"]
-    assert res["max_discrepancy"] <= 1e-9
+    assert report["diagnostics"]["max_discrepancy"] <= 1e-9
     assert len(report["warnings"]) == 1
     assert report["warnings"][0].startswith("exact LP skipped: LP over 2**14 profile cells")
 
@@ -279,6 +280,23 @@ def test_nu_all_skips_the_dense_methods_on_a_tree_over_the_cap(write_json, capsy
     refusal = "Ising prior with 31 sites needs 2**31 entries, cap 1048576"
     assert report["warnings"] == [f"exact LP skipped: {refusal}",
                                   f"closed form skipped: {refusal}"]
+
+
+def test_nu_all_skips_a_closed_form_refused_by_size(write_json, capsys):
+    # 16 fair coins and one constant coordinate: 2**16 supported cells, so
+    # the affiliation check over pairs of them is past its cap, while the
+    # LP on the target's block, a single coin, answers eps.
+    path = write_json("coins.json", {"generator": "product",
+                                     "params": {"marginals": [[0.5, 0.5]] * 16 + [[1, 0]]}})
+    argv = ["nu", "--dist", path, "--eps", "0.2", "--target", "1", "--method"]
+    code, exact = _run(capsys, argv + ["exact"])
+    assert code == 0 and exact["results"]["nu"] == 0.2
+    code, report = _run(capsys, argv + ["all"])
+    assert code == 0
+    assert report["results"]["nu"] == report["results"]["exact"] == 0.2
+    assert "closed_form" not in report["results"]
+    assert report["warnings"] == ["closed form skipped: affiliation check on a prior with zero "
+                                  "cells needs 65536**2 pair comparisons, cap 1073741824"]
 
 
 def test_nu_exact_refuses_an_lp_too_large_for_memory(write_json):

@@ -26,11 +26,12 @@ ISING_ARGV = [
 # Every public name of the package.
 PUBLIC = {
     "ClosedFormResult", "DobrushinBound", "EventProfile", "InfluenceMatrix",
-    "IsingPrior", "IsingTreeModel", "JointDistribution", "NuCertificate", "PrivacyBudget",
+    "IsingPrior", "IsingTreeModel", "JointDistribution", "Leakage", "NuCertificate",
+    "PrivacyBudget",
     "bethe_fixed_point", "conditional_means", "critical_coupling", "dobrushin_bounds",
     "dp_audit", "enforceable_epsilon", "from_dense", "influence_matrix",
     "is_pairwise_positively_correlated", "is_positively_affiliated", "ising_tree_distribution",
-    "max_biased_profile", "mechanism_nu", "noisy_sum_tail_profile", "nu_bethe_limit",
+    "leakage", "max_biased_profile", "mechanism_nu", "noisy_sum_tail_profile", "nu_bethe_limit",
     "nu_closed_form", "nu_exact", "nu_gibbs", "nu_tree",
     "parity_constrained", "parity_mechanism_m1_profile", "perfectly_correlated", "product",
     "product_ratio_bound", "random_affiliated", "sample_noisy_sum", "sensitivity_profile",
@@ -97,6 +98,7 @@ def test_numpy_commands_name_the_missing_dependency(tmp_path):
     path.write_text(json.dumps({"generator": "twins", "params": {"n": 2, "p_one": 0.5}}))
     argvs = [["check", "--dist", str(path)],
              ["nu", "--dist", str(path), "--eps", "0.1"],
+             ["nu", "--dist", str(path), "--eps", "0.1", "--method", "all"],
              ["bound", "--dist", str(path), "--eps", "0.1"]]
     runs = json.loads(_python(NUMPY_COMMANDS_WITHOUT_NUMPY, json.dumps(argvs)))
     for argv, (code, err) in zip(argvs, runs):
