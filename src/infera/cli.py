@@ -32,7 +32,7 @@ from .bethe import (
     sensitivity_profile,
 )
 from .errors import (InferaError, MissingDependency, NotAffiliated, ParseError,
-                     SpectralNormTooLarge, UnboundedInfluence)
+                     SpectralNormTooLarge, UnboundedInfluence, UnsupportedPrior)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -137,6 +137,10 @@ def cmd_check(args, report: dict) -> int:
     return EXIT_FINDING if failed else EXIT_OK
 
 
+def _direction(z) -> str:
+    return f"{z[0]}->{z[1]}"
+
+
 def cmd_nu(args, report: dict) -> int:
     from .files import save_mechanism
     from .lp_exact import DEFAULT_LP_CAP
@@ -149,6 +153,8 @@ def cmd_nu(args, report: dict) -> int:
     results.update(n=prior.n, target=args.target, method=args.method)
     try:
         found = leakage(prior, budget, args.target, args.method, cap=cap, lp_cap=lp_cap)
+    except UnsupportedPrior as exc:
+        raise ParseError("--method gibbs needs an ising_tree generator file") from exc
     except NotAffiliated as exc:
         # Only the closed form on its own raises this: "all" skips it.
         results["nu"] = None
@@ -157,12 +163,17 @@ def cmd_nu(args, report: dict) -> int:
         return EXIT_FINDING
     report["warnings"] += found.warnings
     results["nu"] = found.nu
+    if "exact" in found.answers:
+        cert = found.answers["exact"]
+        report["diagnostics"].update(
+            lp_steps={_direction(z): k for z, k in sorted(cert.steps.items())},
+            lp_restarted=[_direction(z) for z in cert.restarted])
     answer = found.answers.get(args.method)
     if args.method == "exact":
         per_direction = sorted(answer.per_direction.items())
         results.update(nu_upper=answer.nu_upper, direction=list(answer.direction),
                        lp_objective=answer.lp_objective,
-                       per_direction={f"{z0}->{z1}": v for (z0, z1), v in per_direction})
+                       per_direction={_direction(z): v for z, v in per_direction})
         if args.witness_out:
             save_mechanism(args.witness_out, answer.witness)
             results["witness_file"] = args.witness_out

@@ -30,6 +30,10 @@ class UnsupportedAlphabet(InferaError):
     """Operation is only defined for binary coordinates."""
 
 
+class UnsupportedPrior(InferaError):
+    """A method does not apply to this type of prior."""
+
+
 class NotAffiliated(InferaError):
     """Prior fails positive affiliation; carries a witness of the violation."""
 

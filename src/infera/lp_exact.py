@@ -13,9 +13,12 @@ face can take at most e^{eps_a} u, and every other face takes u, so
 
 where c and e are the conditional priors given x_a = z1 and x_a = z0 and
 the rows are the budget on the other coordinates.  Mehrotra's primal-dual
-predictor-corrector method drives this LP.  No iterate is trusted: after
-every iteration two bounds are computed from it by code that does not
-depend on how it was found.
+predictor-corrector method drives this LP, each step going the fraction
+max(_STEP, 1 - mu) of the way to the boundary, mu the mean
+complementarity; a direction that rule leaves uncertified is run again
+at the fixed _STEP (see _certify).  No iterate is trusted: after every
+iteration two bounds are computed from it by code that does not depend
+on how it was found.
 
 * Lower: the largest eps-Lipschitz minorant w of ln u meets the budget by
   construction, and eps_a + ln(c.e^w / e.e^w) is attained by it.  Before
@@ -86,7 +89,9 @@ class NuCertificate:
 
     nu is what the witness attains through mechanism_nu; no feasible
     profile leaks more than nu_upper, and nu_upper - nu <= GAP_TOL, plus
-    8 _BLOCK_TOL when the target's block leaves coordinates out.
+    8 _BLOCK_TOL when the target's block leaves coordinates out.  steps
+    counts the interior-point steps of each direction, its restart's
+    included, and restarted lists the directions that needed one.
     """
 
     nu: float
@@ -95,6 +100,8 @@ class NuCertificate:
     witness: EventProfile
     lp_objective: float
     per_direction: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    steps: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    restarted: Tuple[Tuple[int, int], ...] = ()
 
 
 def _ratio_rows(n: int, alph: int, gains: np.ndarray):
@@ -200,10 +207,41 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.minimum.reduce(-v[neg] / dv[neg], initial=np.inf)))
 
 
+def _adaptive_step(mu: float) -> float:
+    """Step factor that tends to one as the mean complementarity mu falls,
+    which gives the method its superlinear tail."""
+    return max(_STEP, 1.0 - mu)
+
+
+def _fixed_step(mu: float) -> float:
+    return _STEP
+
+
 def _certify(c, e, rows, eps, alph, seed):
-    """(lower, upper, w, iterations): bounds on ln max c.u / e.u over the
-    profiles that meet the rows, the log-witness w attaining lower, and
-    the iterations taken.  The log-profile seed, which must meet the
+    """(lower, upper, w, steps, restart_steps): bounds on ln max c.u / e.u
+    over the profiles that meet the rows, the log-witness w attaining
+    lower, the interior-point steps of the first run, and those of the
+    restart, or None when there was none.
+
+    The first run takes each step at the fraction max(_STEP, 1 - mu) of
+    the way to the boundary, mu the iterate's mean complementarity.  When
+    it leaves the direction uncertified, the run is made again with the
+    fixed fraction _STEP, and the two runs' bounds merge: the larger
+    lower bound with its witness, and the smaller upper bound.  Each bound
+    holds whatever iterate it came from, so the merged pair is certified
+    wherever either run alone certifies."""
+    lower, upper, w, steps = _interior_point(c, e, rows, eps, alph, seed, _adaptive_step)
+    if upper - lower <= _DIRECTION_GAP:
+        return lower, upper, w, steps, None
+    low2, up2, w2, restart_steps = _interior_point(c, e, rows, eps, alph, seed, _fixed_step)
+    if low2 > lower:
+        lower, w = low2, w2
+    return lower, min(upper, up2), w, steps, restart_steps
+
+
+def _interior_point(c, e, rows, eps, alph, seed, step_factor):
+    """(lower, upper, w, iterations): one interior-point run whose step
+    factor is step_factor(mu).  The log-profile seed, which must meet the
     budget, is the first witness.  Stops once the bounds meet within
     _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
     when an iterate or a bound is not finite.  The iterate is two vectors,
@@ -302,8 +340,9 @@ def _certify(c, e, rows, eps, alph, seed):
             gap_aff = pa[:size] @ da[:size] + pa[size:] @ da[size:]
             sigma_mu = (gap_aff / (size + nrows) / mu) ** 3 * mu
             dp, dd, dt = newton(sigma_mu - prim * dual - dp * dd)
-            ad = _STEP * _max_step(dual, dd)
-            prim = prim + _STEP * _max_step(prim, dp) * dp
+            eta = step_factor(mu)
+            ad = eta * _max_step(dual, dd)
+            prim = prim + eta * _max_step(prim, dp) * dp
             dual, t = dual + ad * dd, t + ad * dt
     return lower, upper, witness, it
 
@@ -367,6 +406,8 @@ def nu_exact(
     best = None
     nu_upper = -math.inf
     per_direction: Dict[Tuple[int, int], float] = {}
+    steps: Dict[Tuple[int, int], int] = {}
+    restarted = []
     for z0 in supported:
         e = cond[z0]
         for z1 in supported:
@@ -375,14 +416,18 @@ def nu_exact(
             # The maximally z1-biased profile meets the budget and is
             # optimal for affiliated priors: it seeds the lower bound.
             seed = max_biased_log(eps, z1, alph)
-            lower, upper, w, iters = _certify(cond[z1], e, rows, eps, alph, seed)
+            lower, upper, w, first, restart = _certify(cond[z1], e, rows, eps, alph, seed)
             if not upper - lower <= _DIRECTION_GAP:
                 raise LPError(
-                    f"direction {(z0, z1)} not certified after {iters} interior-point "
-                    f"iterations: nu in [{eps_a + lower}, {eps_a + upper}]"
+                    f"direction {(z0, z1)} not certified after {first} interior-point "
+                    f"iterations, nor after {restart} on restart at the fixed step "
+                    f"{_STEP}: nu in [{eps_a + lower}, {eps_a + upper}]"
                 )
             value = eps_a + lower
             per_direction[(z0, z1)] = value
+            steps[(z0, z1)] = first + (restart or 0)
+            if restart is not None:
+                restarted.append((z0, z1))
             nu_upper = max(nu_upper, eps_a + upper)
             if best is None or value > best[0] + _DIRECTION_GAP:
                 best = (value, (z0, z1), w)
@@ -418,4 +463,6 @@ def nu_exact(
         witness=witness,
         lp_objective=lp_objective,
         per_direction=per_direction,
+        steps=steps,
+        restarted=tuple(restarted),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .affiliated import nu_closed_form
 from .dist import DEFAULT_CAP, check_coordinate
-from .errors import NotAffiliated, ParseError, SizeCap, UnsupportedAlphabet
+from .errors import NotAffiliated, ParseError, SizeCap, UnsupportedAlphabet, UnsupportedPrior
 from .ising import IsingPrior, nu_tree
 from .lp_exact import DEFAULT_LP_CAP, nu_exact
 
@@ -35,7 +35,8 @@ class Leakage:
 def leakage(prior, budget, a, method="exact", cap=DEFAULT_CAP, lp_cap=DEFAULT_LP_CAP) -> Leakage:
     """nu of coordinate a of a JointDistribution or IsingPrior, whose
     dense methods enumerate it within cap cells.  One method raises what
-    it raises.  "all" skips a method that refuses by SizeCap, NotAffiliated
+    it raises; gibbs raises UnsupportedPrior on any prior but an IsingPrior.
+    "all" skips a method that refuses by SizeCap, NotAffiliated
     or UnsupportedAlphabet, tries gibbs only on an IsingPrior, and raises
     the first refusal when no method answers."""
     dense = functools.cache(lambda: prior.dense(cap))  # one enumeration for "all"
@@ -46,7 +47,8 @@ def leakage(prior, budget, a, method="exact", cap=DEFAULT_CAP, lp_cap=DEFAULT_LP
         if name == "closed-form":
             return nu_closed_form(dense(), budget, a)
         if not isinstance(prior, IsingPrior):
-            raise ParseError("--method gibbs needs an ising_tree generator file")
+            raise UnsupportedPrior(
+                f"method gibbs needs an IsingPrior, not a {type(prior).__name__}")
         site = check_coordinate(prior.n, a)
         return float(nu_tree(prior, budget)[site])
 

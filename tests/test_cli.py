@@ -191,7 +191,33 @@ def test_ising_lists_refuse_an_empty_field(capsys, argv, flag):
 def test_nu_gibbs_needs_tree_file(write_json, capsys):
     path = write_json("product.json", PRODUCT)
     assert main(["nu", "--dist", path, "--eps", "0.2", "--method", "gibbs"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --method gibbs needs an ising_tree generator file\n"
+
+
+def test_nu_reports_lp_steps_outside_results(write_json, capsys):
+    # The same prior as the restart pin in test_lp_exact: direction 1->3
+    # is certified only on restart at the fixed step.
+    rng = np.random.default_rng(126)
+    probs = rng.uniform(0.05, 1.0, 64)
+    eps = ",".join(repr(float(v)) for v in 5.0 * rng.uniform(0.05, 1.0, 3))
+    wide = write_json("wide.json", {"n": 3, "alphabet": 4, "probs": probs.tolist()})
+    tree = write_json("tree.json", TREE)
+    cases = [
+        (["nu", "--dist", wide, "--eps", eps, "--target", str(int(rng.integers(3)))],
+         12, ["1->3"]),
+        (["nu", "--dist", tree, "--eps", "0.2", "--method", "all"], 2, []),
+    ]
+    for argv, directions, restarted in cases:
+        _, first = _run(capsys, argv)
+        _, again = _run(capsys, argv)
+        diagnostics = first["diagnostics"]
+        assert len(diagnostics["lp_steps"]) == directions
+        assert all(isinstance(k, int) and k > 0 for k in diagnostics["lp_steps"].values())
+        assert diagnostics["lp_restarted"] == restarted
+        assert not {"lp_steps", "lp_restarted"} & set(first["results"])
+        assert json.dumps(first["results"]) == json.dumps(again["results"])
 
 
 def test_a_file_loads_as_one_prior():

@@ -13,7 +13,7 @@ import infera
 import infera.methods
 from infera.affiliated import nu_closed_form
 from infera.dist import from_dense, parity_constrained, product
-from infera.errors import InferaError, NotAffiliated, ParseError, SizeCap
+from infera.errors import InferaError, NotAffiliated, SizeCap, UnsupportedPrior
 from infera.ising import nu_tree, tree_prior
 from infera.lp_exact import nu_exact
 from infera.mechanism import PrivacyBudget
@@ -54,7 +54,8 @@ def test_a_single_method_raises_what_it_raises():
     with pytest.raises(NotAffiliated):
         leakage(parity, _budget(parity), 0, "closed-form")
     dense = TREE7.dense()
-    with pytest.raises(ParseError, match="gibbs needs an ising_tree"):
+    with pytest.raises(UnsupportedPrior,
+                       match="^method gibbs needs an IsingPrior, not a JointDistribution$"):
         leakage(dense, _budget(dense), 0, "gibbs")
 
 
