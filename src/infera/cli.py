@@ -167,7 +167,8 @@ def cmd_nu(args, report: dict) -> int:
         cert = found.answers["exact"]
         report["diagnostics"].update(
             lp_steps={_direction(z): k for z, k in sorted(cert.steps.items())},
-            lp_restarted=[_direction(z) for z in cert.restarted])
+            lp_restarted=[_direction(z) for z in cert.restarted],
+            lp_stopped={_direction(z): list(v) for z, v in sorted(cert.stopped.items())})
     answer = found.answers.get(args.method)
     if args.method == "exact":
         per_direction = sorted(answer.per_direction.items())

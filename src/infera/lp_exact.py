@@ -14,11 +14,11 @@ face can take at most e^{eps_a} u, and every other face takes u, so
 where c and e are the conditional priors given x_a = z1 and x_a = z0 and
 the rows are the budget on the other coordinates.  Mehrotra's primal-dual
 predictor-corrector method drives this LP, each step going the fraction
-max(_STEP, 1 - mu) of the way to the boundary, mu the mean
-complementarity; a direction that rule leaves uncertified is run again
-at the fixed _STEP (see _certify).  No iterate is trusted: after every
-iteration two bounds are computed from it by code that does not depend
-on how it was found.
+max(_STEP, min(1 - mu, 1 - 2**-30)) of the way to the boundary, mu the
+mean complementarity; a direction that rule leaves uncertified is run
+again at the fixed _STEP (see _certify).  No iterate is trusted: after
+every iteration two bounds are computed from it by code that does not
+depend on how it was found.
 
 * Lower: the largest eps-Lipschitz minorant w of ln u meets the budget by
   construction, and eps_a + ln(c.e^w / e.e^w) is attained by it.  Before
@@ -28,8 +28,12 @@ on how it was found.
   = 1, where K(x) = sum_s e(s) e^{-d(x, s)} and d is the eps-weighted
   Hamming metric.  So c.u <= t + sum_x max(0, c - A^T y - t e)(x) / K(x).
 
-A direction is certified once the two meet; an LPError names both bounds
-otherwise.
+A direction is certified once the two meet.  nu_exact steps every
+direction in lockstep, one iteration each per round, and after each round
+stops an open direction whose upper bound is within _DIRECTION_GAP of the
+best lower bound of any direction: it cannot win, and its interval is
+reported in NuCertificate.stopped.  An LPError names both bounds of a
+direction that ends open and could still win.
 
 Coordinates independent of the target leave nu unchanged: if p = p_C (x)
 p_rest with a in C, averaging a profile over x_rest keeps its budget and
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -54,25 +58,28 @@ from .errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from .mechanism import EventProfile, PrivacyBudget, dp_audit, max_biased_log, mechanism_nu
 
 # The LP of a binary prior at n = 12 has 2**11 variables and a 32 MB
-# normal matrix; nu_exact on random_affiliated(12) took 44 s at 219 MB peak
+# normal matrix; nu_exact on random_affiliated(12) took 24 s at 155 MB peak
 # RSS (one BLAS thread, 2-vCPU VM).  Other alphabets get the same count.
 DEFAULT_LP_CAP = 12
 
-# _certify peaks at about six size x size float64 arrays, 48 size**2 bytes
-# (the normal matrix, its factor, its inverse, temporaries).  A larger
-# estimate is refused up front: 2**13 variables (3 GiB) pass, 2**14 do not.
+# A step peaks at about six size x size float64 arrays, 48 size**2 bytes
+# (the normal matrix, its factor, its inverse, temporaries), and only one
+# step is in flight at a time.  A larger estimate is refused up front:
+# 2**13 variables (3 GiB) pass, 2**14 do not.
 _LP_BYTE_CAP = 2**32
 
 # Width of the certified interval [nu, nu_upper].
 GAP_TOL = 1e-9
 
-# Each direction closes to half of GAP_TOL, and a later direction must beat
-# the best by more than that to win: the winner's witness then attains
-# within GAP_TOL of the largest upper bound, and two directions that tie
-# in exact arithmetic keep value order.
+# Each direction closes to half of GAP_TOL, a later direction must beat
+# the best by more than that to win, and an open direction whose upper
+# bound is within that of the best lower bound is stopped: the winner's
+# witness then attains within GAP_TOL of the largest upper bound, and two
+# directions that tie in exact arithmetic keep value order.
 _DIRECTION_GAP = 0.5 * GAP_TOL
 _MAX_ITER = 200
 _STEP = 0.99
+_STEP_CAP = 1.0 - 2.0**-30
 _AUDIT_TOL = 1e-9
 
 # Relative distance, cell by cell, within which the prior counts as the
@@ -89,9 +96,13 @@ class NuCertificate:
 
     nu is what the witness attains through mechanism_nu; no feasible
     profile leaks more than nu_upper, and nu_upper - nu <= GAP_TOL, plus
-    8 _BLOCK_TOL when the target's block leaves coordinates out.  steps
-    counts the interior-point steps of each direction, its restart's
-    included, and restarted lists the directions that needed one.
+    8 _BLOCK_TOL when the target's block leaves coordinates out.
+    per_direction holds each certified direction's value, and the upper
+    bound of each stopped one: a direction left open because it could not
+    beat another by more than half of GAP_TOL.  stopped maps each of those
+    to its certified interval [lower, upper].  steps counts the
+    interior-point steps of each direction, its restart's included, and
+    restarted lists the directions that needed one.
     """
 
     nu: float
@@ -102,12 +113,31 @@ class NuCertificate:
     per_direction: Dict[Tuple[int, int], float] = field(default_factory=dict)
     steps: Dict[Tuple[int, int], int] = field(default_factory=dict)
     restarted: Tuple[Tuple[int, int], ...] = ()
+    stopped: Dict[Tuple[int, int], Tuple[float, float]] = field(default_factory=dict)
 
 
-def _ratio_rows(n: int, alph: int, gains: np.ndarray):
-    """Rows u(lo) <= gain u(hi) of the budget over alph**n cells, as three
-    arrays: one row per coordinate and ordered pair of its values."""
-    cells = np.arange(alph**n)
+class _Rows(NamedTuple):
+    """The budget's rows u(lo) <= gain u(hi) over size cells, and what the
+    steps of every direction share: pairs, the flat positions in the
+    normal matrix of the entries (lo, hi), (hi, lo), (lo, lo) and (hi, hi)
+    that each row touches, diag, those of its diagonal, and rounding, the
+    bound on the rounding error of c - A^T y - t e per unit of the
+    magnitudes summed into each cell."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    gain: np.ndarray
+    size: int
+    pairs: np.ndarray
+    diag: np.ndarray
+    rounding: float
+
+
+def _ratio_rows(n: int, alph: int, gains: np.ndarray) -> _Rows:
+    """Rows u(lo) <= gain u(hi) of the budget over alph**n cells: one row
+    per coordinate and ordered pair of its values."""
+    size = alph**n
+    cells = np.arange(size)
     rows = [
         (face[u], face[v], gains[i])
         for i in range(n)
@@ -116,10 +146,14 @@ def _ratio_rows(n: int, alph: int, gains: np.ndarray):
         for v in range(alph)
         if u != v
     ]
-    if not rows:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    lo, hi, gain = zip(*rows)
-    return np.concatenate(lo), np.concatenate(hi), np.repeat(gain, lo[0].size)
+    if rows:
+        lo, hi, gain = zip(*rows)
+        lo, hi, gain = np.concatenate(lo), np.concatenate(hi), np.repeat(gain, lo[0].size)
+    else:
+        lo, hi, gain = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    pairs = np.concatenate([lo * size + hi, hi * size + lo, lo * (size + 1), hi * (size + 1)])
+    rounding = (lo.size // size + 3) * np.finfo(float).eps
+    return _Rows(lo, hi, gain, size, pairs, np.arange(size) * (size + 1), rounding)
 
 
 def _envelope(f: np.ndarray, eps: np.ndarray, alph: int) -> np.ndarray:
@@ -209,46 +243,46 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 def _adaptive_step(mu: float) -> float:
     """Step factor that tends to one as the mean complementarity mu falls,
-    which gives the method its superlinear tail."""
-    return max(_STEP, 1.0 - mu)
+    which gives the method its superlinear tail.  It stays 2**-30 short of
+    one: at one a step lands on the boundary, and the iterate stops being
+    finite."""
+    return max(_STEP, min(1.0 - mu, _STEP_CAP))
 
 
 def _fixed_step(mu: float) -> float:
     return _STEP
 
 
-def _certify(c, e, rows, eps, alph, seed):
-    """(lower, upper, w, steps, restart_steps): bounds on ln max c.u / e.u
-    over the profiles that meet the rows, the log-witness w attaining
-    lower, the interior-point steps of the first run, and those of the
-    restart, or None when there was none.
-
-    The first run takes each step at the fraction max(_STEP, 1 - mu) of
-    the way to the boundary, mu the iterate's mean complementarity.  When
-    it leaves the direction uncertified, the run is made again with the
-    fixed fraction _STEP, and the two runs' bounds merge: the larger
-    lower bound with its witness, and the smaller upper bound.  Each bound
-    holds whatever iterate it came from, so the merged pair is certified
-    wherever either run alone certifies."""
-    lower, upper, w, steps = _interior_point(c, e, rows, eps, alph, seed, _adaptive_step)
-    if upper - lower <= _DIRECTION_GAP:
-        return lower, upper, w, steps, None
-    low2, up2, w2, restart_steps = _interior_point(c, e, rows, eps, alph, seed, _fixed_step)
-    if low2 > lower:
-        lower, w = low2, w2
-    return lower, min(upper, up2), w, steps, restart_steps
+def _attained(c: np.ndarray, e: np.ndarray, w: np.ndarray) -> float:
+    """ln c.m / e.m of the profile m = e^w; NaN where its mass underflows."""
+    m = np.exp(w - w.max())
+    return float(np.log(c @ m) - np.log(e @ m))
 
 
-def _interior_point(c, e, rows, eps, alph, seed, step_factor):
-    """(lower, upper, w, iterations): one interior-point run whose step
-    factor is step_factor(mu).  The log-profile seed, which must meet the
-    budget, is the first witness.  Stops once the bounds meet within
-    _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
-    when an iterate or a bound is not finite.  The iterate is two vectors,
-    the primal [u, s] and the dual [z, y], so each side moves as one."""
-    lo, hi, gain = rows
-    size, nrows = c.size, lo.size
-    kernel = _kernel(e, eps, alph)
+def _bounds(prim, dual, t, c, e, rows, kernel, eps, alph):
+    """(lower, upper, w, rd): the certificate of the iterate (module
+    docstring), the log-witness w attaining lower, and the dual residual
+    rd, which the next step starts from."""
+    lo, hi, gain, size, _, _, rounding = rows
+    u, y = prim[:size], dual[size:]
+    with np.errstate(all="ignore"):
+        w = _envelope(np.log(u), eps, alph)
+        pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
+        resid = c - (pos - neg) - t * e
+        rd = -resid - dual[:size]
+        # The upper bound must not drop below the truth when A^T y cancels.
+        resid += rounding * (pos + neg + abs(t) * e + c)
+        excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
+        return _attained(c, e, w), float(np.log(t + excess.sum())), w, rd
+
+
+def _step(prim, dual, t, rd, e, rows, step_factor):
+    """The iterate (prim, dual, t) after one predictor-corrector step, or
+    None when the normal matrix has no Cholesky factor.  The normal
+    matrix, its factor and the step's temporaries die here, so a direction
+    between steps holds only its iterate and its bounds."""
+    lo, hi, gain, size, pairs, diag, _ = rows
+    nrows = lo.size
 
     def a_mul(v):
         return v[lo] - gain * v[hi]
@@ -256,95 +290,144 @@ def _interior_point(c, e, rows, eps, alph, seed, step_factor):
     def at_mul(r):
         return np.bincount(lo, r, size) - np.bincount(hi, gain * r, size)
 
-    def attained(w):
-        m = np.exp(w - w.max())
-        return float(np.log(c @ m) - np.log(e @ m))
+    with np.errstate(all="ignore"):
+        # With the slacks s = -A u and the duals y, z eliminated, the
+        # Newton system is H du + dt e = g, e.du = re,
+        # H = A^T diag(y/s) A + diag(z/u).
+        u, s, z, y = prim[:size], prim[size:], dual[:size], dual[size:]
+        rp, re = a_mul(u) + s, 1.0 - e @ u
+        mu = (u @ z + s @ y) / (size + nrows)
+        ratio = dual / prim
+        zu, ys = ratio[:size], ratio[size:]
+        yg = ys * gain
+        hmat = np.bincount(pairs, np.concatenate([-yg, -yg, ys, yg * gain]), size * size)
+        # A ridge relative to each diagonal entry keeps the factor
+        # independent of how the profile's entries are scaled.
+        hmat[diag] = (hmat[diag] + zu) * (1.0 + 1e-14)
+        try:
+            low = np.linalg.cholesky(hmat.reshape(size, size))
+        except np.linalg.LinAlgError:
+            return None
+        del hmat  # before the inversion, which makes the step's peak
+        inv_l = _lower_inverse(low)
 
-    # Bound on the rounding error of c - A^T y - t e, per unit of the
-    # magnitudes summed into each cell: the upper bound must not drop
-    # below the truth when A^T y cancels.
-    rounding = (nrows // size + 3) * np.finfo(float).eps
+        def solve_h(b):
+            return inv_l.T @ (inv_l @ b)
 
-    # Flat positions in the normal matrix of the entries (lo, hi), (hi, lo),
-    # (lo, lo) and (hi, hi) that each row touches.
-    pairs = np.concatenate([lo * size + hi, hi * size + lo, lo * (size + 1), hi * (size + 1)])
-    diag = np.arange(size) * (size + 1)
+        q = solve_h(e)
 
+        def newton(rc):
+            rcp = rc / prim
+            g = -rd - at_mul(rcp[size:] + ys * rp) + rcp[:size]
+            p = solve_h(g)
+            step_t = (e @ p - re) / (e @ q)
+            du, dt = p - step_t * q, step_t
+            # A second pass refines on the dual residual taken through A.
+            p = solve_h(g - at_mul(ys * a_mul(du)) - zu * du - dt * e)
+            step_t = (e @ p - re + e @ du) / (e @ q)
+            du, dt = du + p - step_t * q, dt + step_t
+            dprim = np.concatenate([du, -rp - a_mul(du)])
+            return dprim, (rc - dual * dprim) / prim, dt
+
+        dp, dd, dt = newton(-prim * dual)
+        pa, da = prim + _max_step(prim, dp) * dp, dual + _max_step(dual, dd) * dd
+        gap_aff = pa[:size] @ da[:size] + pa[size:] @ da[size:]
+        sigma_mu = (gap_aff / (size + nrows) / mu) ** 3 * mu
+        dp, dd, dt = newton(sigma_mu - prim * dual - dp * dd)
+        eta = step_factor(mu)
+        ad = eta * _max_step(dual, dd)
+        return prim + eta * _max_step(prim, dp) * dp, dual + ad * dd, t + ad * dt
+
+
+def _interior_point(c, e, rows, eps, alph, seed, step_factor):
+    """One interior-point run whose step factor is step_factor(mu), as a
+    generator: after each certificate it yields (lower, upper, w, steps),
+    the best bounds on ln max c.u / e.u so far, the log-witness w
+    attaining lower and the steps taken.  The log-profile seed, which
+    must meet the budget, is the first witness.  The run ends once the
+    bounds meet within _DIRECTION_GAP, after certifying the iterate of
+    step _MAX_ITER, or when an iterate or a bound is not finite; in the
+    last case it yields its bounds once more with the steps taken.  The
+    iterate is two vectors, the primal [u, s] and the dual [z, y], so each
+    side moves as one."""
+    size, gain = rows.size, rows.gain
+    kernel = _kernel(e, eps, alph)
     # u = 1 meets e.u = 1 and every row within its slack; the duals put
     # each product u z and s y at 1/size.
     prim, t = np.concatenate([np.ones(size), gain]), 1.0
     dual = np.concatenate([np.full(size, 1.0 / size), 1.0 / (size * gain)])
     lower, upper, witness = -math.inf, math.inf, None
     with np.errstate(all="ignore"):
-        first = attained(seed)  # NaN where the seed's mass underflows
-        if first > lower:
-            lower, witness = first, seed
-        for it in range(_MAX_ITER + 1):
-            if not (np.isfinite(prim).all() and np.isfinite(dual).all() and math.isfinite(t)):
-                break
-            u, s, z, y = prim[:size], prim[size:], dual[:size], dual[size:]
-            # Certificate, from the iterate alone.
-            w = _envelope(np.log(u), eps, alph)
-            pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
-            resid = c - (pos - neg) - t * e
-            rd = -resid - z
-            resid += rounding * (pos + neg + abs(t) * e + c)
-            excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
-            low_here = attained(w)
-            up_here = float(np.log(t + excess.sum()))
-            if math.isnan(low_here) or math.isnan(up_here):
-                break
-            if low_here > lower:
-                lower, witness = low_here, w
-            upper = min(upper, up_here)
-            if upper - lower <= _DIRECTION_GAP or it == _MAX_ITER:
-                break
+        first = _attained(c, e, seed)  # NaN where the seed's mass underflows
+    if first > lower:
+        lower, witness = first, seed
+    for it in range(_MAX_ITER + 1):
+        if not (np.isfinite(prim).all() and np.isfinite(dual).all() and math.isfinite(t)):
+            break
+        low_here, up_here, w, rd = _bounds(prim, dual, t, c, e, rows, kernel, eps, alph)
+        if math.isnan(low_here) or math.isnan(up_here):
+            break
+        if low_here > lower:
+            lower, witness = low_here, w
+        upper = min(upper, up_here)
+        yield lower, upper, witness, it
+        if upper - lower <= _DIRECTION_GAP or it == _MAX_ITER:
+            return
+        stepped = _step(prim, dual, t, rd, e, rows, step_factor)
+        if stepped is None:
+            return
+        prim, dual, t = stepped
+    yield lower, upper, witness, it
 
-            # One predictor-corrector step.  With the slacks s = -A u and
-            # the duals y, z eliminated, the Newton system is
-            # H du + dt e = g, e.du = re, H = A^T diag(y/s) A + diag(z/u).
-            rp, re = a_mul(u) + s, 1.0 - e @ u
-            mu = (u @ z + s @ y) / (size + nrows)
-            ratio = dual / prim
-            zu, ys = ratio[:size], ratio[size:]
-            yg = ys * gain
-            hmat = np.bincount(pairs, np.concatenate([-yg, -yg, ys, yg * gain]), size * size)
-            # A ridge relative to each diagonal entry keeps the factor
-            # independent of how the profile's entries are scaled.
-            hmat[diag] = (hmat[diag] + zu) * (1.0 + 1e-14)
-            try:
-                inv_l = _lower_inverse(np.linalg.cholesky(hmat.reshape(size, size)))
-            except np.linalg.LinAlgError:
-                break
 
-            def solve_h(b):
-                return inv_l.T @ (inv_l @ b)
+def _certify(c, e, rows, eps, alph, seed):
+    """One direction, as a generator: after each certificate it yields
+    (lower, upper, w, steps, restart_steps), the best bounds on
+    ln max c.u / e.u over the profiles that meet the rows so far, the
+    log-witness w attaining lower, the interior-point steps of the first
+    run, and those of the restart, or None before one.  It ends once the
+    bounds meet within _DIRECTION_GAP or both runs have ended.
 
-            q = solve_h(e)
+    The first run takes each step at the fraction _adaptive_step(mu) of
+    the way to the boundary.  When it leaves the direction uncertified,
+    the run is made again with the fixed fraction _STEP, and the two runs'
+    bounds merge: the larger lower bound with its witness, and the smaller
+    upper bound.  Each bound holds whatever iterate it came from, so the
+    merged pair is certified wherever either run alone certifies."""
+    for lower, upper, w, steps in _interior_point(c, e, rows, eps, alph, seed, _adaptive_step):
+        yield lower, upper, w, steps, None
+    if upper - lower <= _DIRECTION_GAP:
+        return
+    for low2, up2, w2, restart_steps in _interior_point(c, e, rows, eps, alph, seed,
+                                                        _fixed_step):
+        if low2 > lower:
+            lower, w = low2, w2
+        upper = min(upper, up2)
+        yield lower, upper, w, steps, restart_steps
+        if upper - lower <= _DIRECTION_GAP:
+            return
 
-            def newton(rc):
-                rcp = rc / prim
-                g = -rd - at_mul(rcp[size:] + ys * rp) + rcp[:size]
-                p = solve_h(g)
-                step_t = (e @ p - re) / (e @ q)
-                du, dt = p - step_t * q, step_t
-                # A second pass refines on the dual residual taken through A.
-                p = solve_h(g - at_mul(ys * a_mul(du)) - zu * du - dt * e)
-                step_t = (e @ p - re + e @ du) / (e @ q)
-                du, dt = du + p - step_t * q, dt + step_t
-                dprim = np.concatenate([du, -rp - a_mul(du)])
-                return dprim, (rc - dual * dprim) / prim, dt
 
-            dp, dd, dt = newton(-prim * dual)
-            pa, da = prim + _max_step(prim, dp) * dp, dual + _max_step(dual, dd) * dd
-            gap_aff = pa[:size] @ da[:size] + pa[size:] @ da[size:]
-            sigma_mu = (gap_aff / (size + nrows) / mu) ** 3 * mu
-            dp, dd, dt = newton(sigma_mu - prim * dual - dp * dd)
-            eta = step_factor(mu)
-            ad = eta * _max_step(dual, dd)
-            prim = prim + eta * _max_step(prim, dp) * dp
-            dual, t = dual + ad * dd, t + ad * dt
-    return lower, upper, witness, it
+def _lockstep(runs):
+    """The last state (lower, upper, ...) that each direction's run in the
+    mapping runs yielded, every run advanced one certificate per round;
+    runs is emptied.
+    A run ends once its bounds meet within _DIRECTION_GAP or it has no
+    more to yield.  After each round, an open run whose upper bound is at
+    most the best lower bound of any direction plus _DIRECTION_GAP is
+    stopped: it cannot beat that direction by more."""
+    states = {}
+    while runs:
+        for z, run in list(runs.items()):
+            state = next(run, None)
+            if state is not None:
+                states[z] = state
+            if state is None or state[1] - state[0] <= _DIRECTION_GAP:
+                del runs[z]
+        best = max(state[0] for state in states.values())
+        for z in [z for z in runs if states[z][1] <= best + _DIRECTION_GAP]:
+            del runs[z]
+    return states
 
 
 def nu_exact(
@@ -356,11 +439,15 @@ def nu_exact(
     """Exact inference parameter of coordinate a under the budget.
 
     Finds a's dependence block C first (module docstring) and solves the
-    LP on the prior's marginal on C with C's budget.  Certifies one LP
-    per ordered pair of supported target values and keeps the best.  A
-    later direction wins only when it beats the best by more than half
-    of GAP_TOL, so for a symmetric binary target a tie reports (0, 1).
-    The witness is the winning direction's profile scaled to maximum
+    LP on the prior's marginal on C with C's budget, one per ordered pair
+    of supported target values, all in lockstep (_lockstep).  A direction
+    whose upper bound falls to within half of GAP_TOL of another's lower
+    bound is stopped, as it cannot change nu, nu_upper's window or the
+    witness except where the two tie within that margin; one that ends
+    open and could still win raises LPError.  The best certified
+    direction wins: a later direction wins only when it beats the best by
+    more than half of GAP_TOL, so for a symmetric binary target a tie
+    reports (0, 1).  The witness is the winning direction's profile scaled to maximum
     entry one and held constant along the coordinates outside C; it must
     meet the budget under dp_audit, and its replay through mechanism_nu
     on the whole prior, which is reported as nu, must lie within GAP_TOL
@@ -403,34 +490,42 @@ def nu_exact(
     eps = budget.eps[[c for c in block if c != a]]
     rows = _ratio_rows(k - 1, alph, np.delete(gains, a_block))
     eps_a = float(budget.eps[a])
+    # The maximally z1-biased profile meets the budget and is optimal for
+    # affiliated priors: it seeds the lower bound of direction (z0, z1).
+    directions = [(z0, z1) for z0 in supported for z1 in supported if z0 != z1]
+    states = _lockstep({
+        (z0, z1): _certify(cond[z1], cond[z0], rows, eps, alph, max_biased_log(eps, z1, alph))
+        for z0, z1 in directions
+    })
+    best_lower = max(state[0] for state in states.values())
     best = None
     nu_upper = -math.inf
     per_direction: Dict[Tuple[int, int], float] = {}
     steps: Dict[Tuple[int, int], int] = {}
+    stopped: Dict[Tuple[int, int], Tuple[float, float]] = {}
     restarted = []
-    for z0 in supported:
-        e = cond[z0]
-        for z1 in supported:
-            if z0 == z1:
-                continue
-            # The maximally z1-biased profile meets the budget and is
-            # optimal for affiliated priors: it seeds the lower bound.
-            seed = max_biased_log(eps, z1, alph)
-            lower, upper, w, first, restart = _certify(cond[z1], e, rows, eps, alph, seed)
-            if not upper - lower <= _DIRECTION_GAP:
-                raise LPError(
-                    f"direction {(z0, z1)} not certified after {first} interior-point "
-                    f"iterations, nor after {restart} on restart at the fixed step "
-                    f"{_STEP}: nu in [{eps_a + lower}, {eps_a + upper}]"
-                )
+    for z in directions:
+        lower, upper, w, first, restart = states[z]
+        steps[z] = first + (restart or 0)
+        if restart is not None:
+            restarted.append(z)
+        nu_upper = max(nu_upper, eps_a + upper)
+        if upper - lower <= _DIRECTION_GAP:
             value = eps_a + lower
-            per_direction[(z0, z1)] = value
-            steps[(z0, z1)] = first + (restart or 0)
-            if restart is not None:
-                restarted.append((z0, z1))
-            nu_upper = max(nu_upper, eps_a + upper)
+            per_direction[z] = value
             if best is None or value > best[0] + _DIRECTION_GAP:
-                best = (value, (z0, z1), w)
+                best = (value, z, w)
+        elif upper <= best_lower + _DIRECTION_GAP:
+            # Open, but it cannot win, whether _lockstep stopped it or
+            # both of its runs ended.
+            per_direction[z] = eps_a + upper
+            stopped[z] = (eps_a + lower, eps_a + upper)
+        else:
+            raise LPError(
+                f"direction {z} not certified after {first} interior-point "
+                f"iterations, nor after {restart} on restart at the fixed step "
+                f"{_STEP}: nu in [{eps_a + lower}, {eps_a + upper}]"
+            )
 
     _, direction, w = best
     layers = [w + (eps_a if v == direction[1] else 0.0) for v in range(alph)]
@@ -465,4 +560,5 @@ def nu_exact(
         per_direction=per_direction,
         steps=steps,
         restarted=tuple(restarted),
+        stopped=stopped,
     )

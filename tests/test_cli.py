@@ -197,27 +197,32 @@ def test_nu_gibbs_needs_tree_file(write_json, capsys):
 
 
 def test_nu_reports_lp_steps_outside_results(write_json, capsys):
-    # The same prior as the restart pin in test_lp_exact: direction 1->3
-    # is certified only on restart at the fixed step.
+    # The same prior as the restart pin in test_lp_exact: every direction
+    # but 0->1 is stopped once it cannot beat 0->1, and none restarts.
     rng = np.random.default_rng(126)
     probs = rng.uniform(0.05, 1.0, 64)
     eps = ",".join(repr(float(v)) for v in 5.0 * rng.uniform(0.05, 1.0, 3))
     wide = write_json("wide.json", {"n": 3, "alphabet": 4, "probs": probs.tolist()})
     tree = write_json("tree.json", TREE)
     cases = [
-        (["nu", "--dist", wide, "--eps", eps, "--target", str(int(rng.integers(3)))],
-         12, ["1->3"]),
-        (["nu", "--dist", tree, "--eps", "0.2", "--method", "all"], 2, []),
+        (["nu", "--dist", wide, "--eps", eps, "--target", str(int(rng.integers(3)))], 12, 11),
+        (["nu", "--dist", tree, "--eps", "0.2", "--method", "all"], 2, 1),
     ]
-    for argv, directions, restarted in cases:
+    for argv, directions, stopped in cases:
         _, first = _run(capsys, argv)
         _, again = _run(capsys, argv)
-        diagnostics = first["diagnostics"]
+        diagnostics, results = first["diagnostics"], first["results"]
         assert len(diagnostics["lp_steps"]) == directions
         assert all(isinstance(k, int) and k > 0 for k in diagnostics["lp_steps"].values())
-        assert diagnostics["lp_restarted"] == restarted
-        assert not {"lp_steps", "lp_restarted"} & set(first["results"])
-        assert json.dumps(first["results"]) == json.dumps(again["results"])
+        assert diagnostics["lp_restarted"] == []
+        assert len(diagnostics["lp_stopped"]) == stopped
+        for z, (lower, upper) in diagnostics["lp_stopped"].items():
+            assert lower < upper <= results["nu"]
+            # A stopped direction reports its upper bound: it never understates.
+            if "per_direction" in results:
+                assert results["per_direction"][z] == float(f"{upper:.12g}")
+        assert not {"lp_steps", "lp_restarted", "lp_stopped"} & set(results)
+        assert json.dumps(results) == json.dumps(again["results"])
 
 
 def test_a_file_loads_as_one_prior():

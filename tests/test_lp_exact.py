@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_lp_cap_counts_cells(monkeypatch):
 
 
 def test_max_step_on_a_split_vector():
-    # _certify takes one step length per side of the iterate, [u, s] or
+    # _step takes one step length per side of the iterate, [u, s] or
     # [z, y]: over the whole vector it must be the smaller of the halves'.
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -297,23 +298,26 @@ def _family_draws(rng):
 
 
 def test_interior_point_converges_within_its_step_budget(monkeypatch):
-    # No direction of these draws took more than 10 steps, nor all of them
-    # more than 172, when this test was written: a rewrite that keeps the
-    # values but converges more slowly fails here.  A restart's steps count.
-    most_steps, total_steps = 10, 180
+    # No direction of these draws took more than 9 steps, nor all of them
+    # more than 131, when this test was written: a rewrite that keeps the
+    # values but converges more slowly, or stops fewer of the directions
+    # that cannot win, fails here.  A restart's steps count.
+    most_steps, total_steps = 9, 135
     steps, total = [], 0
     certify = lp_exact._certify
 
     def counted(*args):
-        result = certify(*args)
-        steps.append(result[3] + (result[4] or 0))
-        return result
+        k = len(steps)
+        steps.append(0)
+        for state in certify(*args):
+            steps[k] = state[3] + (state[4] or 0)
+            yield state
 
     monkeypatch.setattr(lp_exact, "_certify", counted)
     for fam, prior, budget, a in _family_draws(np.random.default_rng(42)):
         del steps[:]
         cert = nu_exact(prior, budget, a)
-        assert steps and max(steps) <= most_steps + 2, (fam, steps)
+        assert len(steps) == len(cert.per_direction) and max(steps) <= most_steps, (fam, steps)
         assert sorted(cert.steps.values()) == sorted(steps) and cert.restarted == ()
         total += sum(steps)
     assert total <= total_steps
@@ -321,7 +325,22 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
 
 def _fixed_step_only(*args):
     """_certify as a single run at the fixed step factor."""
-    return (*lp_exact._interior_point(*args, lp_exact._fixed_step), None)
+    for state in lp_exact._interior_point(*args, lp_exact._fixed_step):
+        yield (*state, None)
+
+
+def _run_out(run):
+    """The direction's run ended before nu_exact sees its last state, so
+    that no direction is stopped while open."""
+    *_, last = run
+    yield last
+
+
+def _nu_or_none(prior, budget, a):
+    try:
+        return nu_exact(prior, budget, a)
+    except LPError:
+        return None
 
 
 @st.composite
@@ -341,51 +360,118 @@ def test_the_step_rule_certifies_wherever_the_fixed_step_does(case):
     prior, budget, a = case
     gap = lp_exact._DIRECTION_GAP
     certify = lp_exact._certify
+    calls = []
 
     def both(*args):
-        fixed, got = _fixed_step_only(*args), certify(*args)
+        *_, fixed = _fixed_step_only(*args)
+        *_, got = certify(*args)
         assert got[0] <= fixed[1] + 1e-12 and fixed[0] <= got[1] + 1e-12
         if fixed[1] - fixed[0] <= gap:
             assert got[1] - got[0] <= gap and abs(got[0] - fixed[0]) <= GAP_TOL
-        return got
+        calls.append(args)
+        yield got
 
     with mock.patch.object(lp_exact, "_certify", both):
-        try:
-            cert = nu_exact(prior, budget, a)
-        except LPError:
-            cert = None
-    with mock.patch.object(lp_exact, "_certify", _fixed_step_only):
-        try:
-            fixed = nu_exact(prior, budget, a)
-        except LPError:
-            fixed = None
+        cert = _nu_or_none(prior, budget, a)
+    # Every direction went through the comparison.
+    alph = prior.alphabet_size
+    assert len(calls) == alph * (alph - 1)
+    with mock.patch.object(lp_exact, "_certify", lambda *args: _run_out(_fixed_step_only(*args))):
+        fixed = _nu_or_none(prior, budget, a)
     if fixed is not None:
         assert cert is not None
         assert cert.nu <= fixed.nu_upper + 1e-12 and fixed.nu <= cert.nu_upper + 1e-12
         assert abs(cert.nu - fixed.nu) <= GAP_TOL
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_wide_budget_priors())
+def test_stopping_directions_that_cannot_win_keeps_the_answer(case):
+    # The lockstep solve against every direction run to completion.
+    prior, budget, a = case
+    certify = lp_exact._certify
+    calls = []
+
+    def full(*args):
+        calls.append(args)
+        return _run_out(certify(*args))
+
+    cert = _nu_or_none(prior, budget, a)
+    with mock.patch.object(lp_exact, "_certify", full):
+        whole = _nu_or_none(prior, budget, a)
+    alph = prior.alphabet_size
+    assert len(calls) == alph * (alph - 1)
+    assert (cert is None) == (whole is None)
+    if cert is None:
+        return
+    assert cert.nu <= whole.nu_upper + 1e-12 and whole.nu <= cert.nu_upper + 1e-12
+    assert abs(cert.nu - whole.nu) <= GAP_TOL
+    assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
+    assert cert.per_direction.keys() == whole.per_direction.keys() == cert.steps.keys()
+    for z, value in cert.per_direction.items():
+        # A stopped direction reports its upper bound, which never
+        # understates; its interval holds the direction's value.
+        assert value >= whole.per_direction[z] - GAP_TOL
+        if z in cert.stopped:
+            lower, upper = cert.stopped[z]
+            assert value == upper and lower <= whole.per_direction[z] + GAP_TOL
+            assert upper <= cert.nu_upper and upper - lower > lp_exact._DIRECTION_GAP
+    assert sum(cert.steps.values()) <= sum(whole.steps.values())
+
+
 def test_a_direction_the_step_rule_leaves_open_is_certified_on_restart(monkeypatch):
-    # The step rule's run of direction (1, 3) stops 4.6e-8 short of the
-    # gap, once its step factor rounds to one; the fixed-step run closes it.
+    # Each direction runs to completion here, so that none is stopped.
+    # With its factor uncapped, the step rule's run of direction (1, 3)
+    # stops 4.6e-8 short of the gap once the factor rounds to one; the
+    # fixed-step run closes it.  Capped, the rule certifies it first time.
     rng = np.random.default_rng(126)
     prior = from_dense(3, 4, rng.uniform(0.05, 1.0, 64))
     budget = PrivacyBudget(5.0 * rng.uniform(0.05, 1.0, 3))
     a = int(rng.integers(3))
+    certify = lp_exact._certify
+    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(certify(*args)))
+    capped = nu_exact(prior, budget, a)
+    assert capped.restarted == () and capped.stopped == {} and len(capped.steps) == 12
+    monkeypatch.setattr(lp_exact, "_adaptive_step", lambda mu: max(lp_exact._STEP, 1.0 - mu))
     cert = nu_exact(prior, budget, a)
-    assert cert.restarted == ((1, 3),) and len(cert.steps) == 12
+    assert cert.restarted == ((1, 3),) and cert.stopped == {}
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
-    monkeypatch.setattr(lp_exact, "_certify", _fixed_step_only)
+    assert abs(cert.nu - capped.nu) <= GAP_TOL
+    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(_fixed_step_only(*args)))
     fixed = nu_exact(prior, budget, a)
     assert abs(cert.nu - fixed.nu) <= GAP_TOL
     assert cert.nu <= fixed.nu_upper and fixed.nu <= cert.nu_upper
 
     def adaptive_only(*args):
-        return (*lp_exact._interior_point(*args, lp_exact._adaptive_step), None)
+        for state in lp_exact._interior_point(*args, lp_exact._adaptive_step):
+            yield (*state, None)
 
-    monkeypatch.setattr(lp_exact, "_certify", adaptive_only)
-    with pytest.raises(LPError, match=r"^direction \(1, 3\) not certified"):
-        nu_exact(prior, budget, a)
+    # Without the restart, direction (1, 3) stays open; it cannot win, so
+    # it is stopped rather than refused.
+    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(adaptive_only(*args)))
+    open_ = nu_exact(prior, budget, a)
+    lower, upper = open_.stopped.pop((1, 3))
+    assert open_.stopped == {} and 0.0 < upper - lower - lp_exact._DIRECTION_GAP < 1e-7
+    assert upper < open_.nu and open_.per_direction[(1, 3)] == upper
+
+
+def test_directions_between_steps_hold_only_their_iterates():
+    # 5 coordinates of alphabet 4: 256 LP variables and 12 directions run
+    # in lockstep.  One normal matrix, its factor or its inverse takes
+    # 0.5 MiB; the parent of the lockstep solve, one direction at a time,
+    # peaked at 3.1 MiB, and the lockstep solve read 8.6 MiB with each open
+    # direction keeping its inverse factor between steps.
+    rng = np.random.default_rng(5)
+    prior = from_dense(5, 4, rng.uniform(0.05, 1.0, 4**5))
+    budget = PrivacyBudget(rng.uniform(0.05, 1.0, 5))
+    tracemalloc.start()
+    try:
+        cert = nu_exact(prior, budget, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.steps) == 12
+    assert peak <= 4.5 * 2**20
 
 
 # --- dependence blocks ---------------------------------------------------
