@@ -79,6 +79,18 @@ def check_coordinate(n: int, a: int) -> int:
     return a
 
 
+def check_cells(alphabet: int, n: int, cap: int, what: str = "prior") -> int:
+    """alphabet**n, the cells of a prior over n coordinates, or SizeCap past
+    cap.  Multiplied up to the cap and no further, so a huge n from a file
+    is refused at once, by a message that names alphabet**n."""
+    size = 1
+    for _ in range(n):
+        size *= alphabet
+        if size > cap:
+            raise SizeCap(f"{what} needs {alphabet}**{n} entries, cap {cap}")
+    return size
+
+
 def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
     """(alphabet_size, alphabet_size**(n - 1)) array of flat split along
     coordinate a: row z holds the cells with x_a = z, little-endian over
@@ -193,9 +205,7 @@ def from_dense(
     """
     if n < 1 or alphabet_size < 2:
         raise DimensionMismatch(f"need n >= 1 and alphabet >= 2, got {n}, {alphabet_size}")
-    size = alphabet_size**n
-    if size > cap:
-        raise SizeCap(f"{size} entries exceed cap {cap}")
+    size = check_cells(alphabet_size, n, cap)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (size,):
         raise DimensionMismatch(f"expected {size} weights, got shape {w.shape}")
@@ -264,8 +274,7 @@ def product(marginals: Sequence[Sequence[float]], cap: int = DEFAULT_CAP) -> Joi
     if any(m.size != alphabet for m in mats):
         raise DimensionMismatch("marginals must share one alphabet size")
     n = len(mats)
-    if alphabet**n > cap:
-        raise SizeCap(f"{alphabet**n} entries exceed cap {cap}")
+    check_cells(alphabet, n, cap)
     return from_dense(n, alphabet, cell_fold(mats, np.multiply), cap=cap)
 
 
@@ -273,9 +282,7 @@ def perfectly_correlated(n: int, p_one: float, cap: int = DEFAULT_CAP) -> JointD
     """All coordinates equal: all-zeros with mass 1 - p_one, all-ones with p_one."""
     if not 0.0 <= p_one <= 1.0:
         raise NegativeProbability(f"p_one must lie in [0, 1], got {p_one}")
-    if 2**n > cap:
-        raise SizeCap(f"{2**n} entries exceed cap {cap}")
-    w = np.zeros(2**n)
+    w = np.zeros(check_cells(2, n, cap))
     w[0] = 1.0 - p_one
     w[-1] = p_one
     return from_dense(n, 2, w, cap=cap)
@@ -290,8 +297,7 @@ def parity_constrained(r: int, s: int, cap: int = DEFAULT_CAP) -> JointDistribut
     has the parity of x_a, so odd_count is 0 or r + 1.
     """
     n = 1 + r * s
-    if 2**n > cap:
-        raise SizeCap(f"{2**n} entries exceed cap {cap}")
+    check_cells(2, n, cap)
     k = odd_count(r, s)
     return from_dense(n, 2, ((k == 0) | (k == r + 1)).astype(np.float64), cap=cap)
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DEFAULT_CAP, JointDistribution, add_pair, cell_fold, check_coordinate, from_dense
+from .dist import (DEFAULT_CAP, JointDistribution, add_pair, cell_fold, check_cells,
+                   check_coordinate, from_dense)
 from .errors import DimensionMismatch, NotAffiliated, SizeCap, UndefinedRatio
 from .mechanism import PrivacyBudget
 
@@ -87,8 +88,7 @@ class IsingPrior:
     def dense(self, cap: int = DEFAULT_CAP) -> JointDistribution:
         """The prior over all 2^n cells."""
         n = self.n
-        if 2**n > cap:
-            raise SizeCap(f"Ising prior with {n} sites needs 2**{n} entries, cap {cap}")
+        check_cells(2, n, cap, f"Ising prior with {n} sites")
         # x_a = 0 is spin +1.
         energy = cell_fold([(h, -h) for h in self.h])
         for a, b, c in zip(self.i, self.j, self.J):

@@ -463,10 +463,10 @@ def nu_exact(
     block, probs = _dependence_block(dist, a)
     k = len(block)
     size = alph ** (k - 1)
-    if size > 2 ** (cap - 1):
-        raise SizeCap(
-            f"LP over {alph}**{k - 1} profile cells exceeds the cap 2**{cap - 1} (--lp-cap {cap})"
-        )
+    # size > 2**(cap - 1), without forming a power of --lp-cap.
+    if (int(size) - 1).bit_length() >= cap:
+        raise SizeCap(f"LP over {alph}**{k - 1} profile cells exceeds the cap 2**{cap - 1} "
+                      f"(--lp-cap {cap})")
     if 48 * size**2 > _LP_BYTE_CAP:
         raise SizeCap(f"LP over {size} variables needs {48 * size**2} bytes, cap {_LP_BYTE_CAP}")
     gains = np.empty(k)

@@ -560,6 +560,19 @@ def test_nu_all_skips_the_closed_form_on_a_ternary_prior(write_json, capsys):
     assert any(w.startswith("closed form skipped: ") for w in report["warnings"])
 
 
+@pytest.mark.parametrize("obj, power", [
+    ({"n": 10**8, "alphabet": 2, "probs": [0.5, 0.5]}, "2**100000000"),
+    ({"generator": "parity", "params": {"r": 10**4, "s": 10**4}}, "2**100000001"),
+], ids=["dense", "parity"])
+def test_a_huge_count_in_a_file_is_a_size_error(write_json, capsys, obj, power):
+    # Not a ParseError from printing the power's digits.
+    path = write_json("huge.json", obj)
+    code = main(["nu", "--dist", path, "--eps", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: prior needs {power} entries, cap 1048576\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"generator": "ising_tree", "params": {"d": 2, "depth": 1, "J": "abc"}},
     {"n": 1, "alphabet": 2, "probs": "xyz"},

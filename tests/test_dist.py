@@ -14,6 +14,7 @@ from infera.dist import (
     JointDistribution,
     biased_means,
     cell_tensor,
+    check_cells,
     conditional_means,
     faces,
     from_dense,
@@ -112,6 +113,31 @@ def test_from_dense_shape_and_mass_errors():
         from_dense(1, 2, [0.0, 0.0])
     with pytest.raises(SizeCap):
         from_dense(4, 2, np.ones(16), cap=8)
+
+
+def test_check_cells_admits_exactly_the_cap():
+    assert check_cells(3, 4, 81) == 81 and check_cells(2, 0, 1) == 1
+    with pytest.raises(SizeCap, match=r"^prior needs 3\*\*4 entries, cap 80$"):
+        check_cells(3, 4, 80)
+
+
+@pytest.mark.parametrize("build, power, cap", [
+    (lambda: perfectly_correlated(10**9, 0.5, cap=10**9), "2**1000000000", 10**9),
+    (lambda: from_dense(10**8, 2, [0.5, 0.5]), "2**100000000", 2**20),
+    (lambda: parity_constrained(10**4, 10**4), "2**100000001", 2**20),
+], ids=["twins", "dense", "parity"])
+def test_size_checks_refuse_without_forming_the_power(build, power, cap):
+    # 2**(10**9) takes seconds and 125 MB to form, and has too many digits
+    # to print: the checks multiply up to the cap and name the power.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"prior needs {power} entries, cap {cap}"
+    assert peak <= 2**20
 
 
 def test_normalization_invariant_random():

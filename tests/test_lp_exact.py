@@ -152,6 +152,32 @@ def test_nu_exact_guards():
         )
 
 
+def test_lp_cap_admits_exactly_two_to_the_cap_less_one():
+    # Twins keep every coordinate: 2**3 variables at n = 4, 3**2 at n = 3.
+    twins = perfectly_correlated(4, 0.5)
+    assert abs(nu_exact(twins, PrivacyBudget.uniform(4, 0.3), 0, cap=4).nu - 1.2) <= 1e-9
+    with pytest.raises(SizeCap, match=r"2\*\*3 profile cells exceeds the cap 2\*\*2 "):
+        nu_exact(twins, PrivacyBudget.uniform(4, 0.3), 0, cap=3)
+    # A numpy integer alphabet has no bit_length of its own.
+    ternary = from_dense(3, np.int64(3), [1.0] + [0.0] * 12 + [1.0] + [0.0] * 12 + [1.0])
+    assert abs(nu_exact(ternary, PrivacyBudget.uniform(3, 0.3), 0, cap=5).nu - 0.9) <= 1e-9
+    with pytest.raises(SizeCap, match=r"3\*\*2 profile cells exceeds the cap 2\*\*3 "):
+        nu_exact(ternary, PrivacyBudget.uniform(3, 0.3), 0, cap=4)
+
+
+def test_a_huge_lp_cap_is_compared_without_forming_its_power():
+    # 2**(10**9 - 1) took 7 s and 440 MB to form before the comparison.
+    twins = perfectly_correlated(4, 0.5)
+    tracemalloc.start()
+    try:
+        cert = nu_exact(twins, PrivacyBudget.uniform(4, 0.3), 0, cap=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(cert.nu - 1.2) <= 1e-9
+    assert peak <= 4 * 2**20
+
+
 def test_build_lp_rejects_budget_of_wrong_length():
     d = product([[0.5, 0.5]] * 3)
     with pytest.raises(DimensionMismatch):
@@ -272,9 +298,9 @@ def test_iteration_cap_certifies_its_last_iterate(monkeypatch):
     assert abs(cert.nu - truth) <= 1e-9
 
 
-def _family_draws(rng):
+def _family_draws(rng, scale=1.0):
     """Two n=6 draws of each family of the exact-lp benchmark, built by the
-    library: (name, prior, budget, target)."""
+    library, each budget times scale: (name, prior, budget, target)."""
     for fam in ("dense", "zero-cell", "affiliated", "product", "twins", "parity", "star"):
         for _ in range(2):
             if fam == "dense":
@@ -294,7 +320,7 @@ def _family_draws(rng):
             else:
                 prior = tree_prior(d=5, depth=1, J=float(rng.uniform(0.1, 1.0)),
                                    h0=float(rng.uniform(-0.5, 0.5))).dense()
-            yield fam, prior, PrivacyBudget(rng.uniform(0.05, 1.0, 6)), int(rng.integers(6))
+            yield fam, prior, PrivacyBudget(scale * rng.uniform(0.05, 1.0, 6)), int(rng.integers(6))
 
 
 def test_interior_point_converges_within_its_step_budget(monkeypatch):
@@ -453,6 +479,27 @@ def test_a_direction_the_step_rule_leaves_open_is_certified_on_restart(monkeypat
     lower, upper = open_.stopped.pop((1, 3))
     assert open_.stopped == {} and 0.0 < upper - lower - lp_exact._DIRECTION_GAP < 1e-7
     assert upper < open_.nu and open_.per_direction[(1, 3)] == upper
+
+
+# Family draws at 50 times the benchmark's budgets, as (seed, round, draw):
+# the draw-th of the round-th call of _family_draws on default_rng(seed).
+# The step rule's run leaves one direction of each open, and would refuse
+# it: on the first two mu climbs past 1e30 until the iterate stops being
+# finite, the other three end 1.6e-9 to 1.4e-8 short of the gap.  Only the
+# fixed-step restart answers them.
+_RESTART_DRAWS = [(1050, 10, 2), (1050, 10, 11), (7050, 40, 3), (7050, 43, 2), (7050, 49, 3)]
+
+
+@pytest.mark.parametrize("seed, rounds, index", _RESTART_DRAWS)
+def test_wide_family_draws_that_need_the_restart_are_answered(seed, rounds, index):
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        list(_family_draws(rng, 50.0))
+    fam, prior, budget, a = list(_family_draws(rng, 50.0))[index]
+    cert = nu_exact(prior, budget, a)
+    assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL, fam
+    assert np.all(dp_audit(cert.witness).eps <= budget.eps + 1e-9)
+    assert abs(mechanism_nu(prior, cert.witness, a) - cert.nu) <= 1e-9
 
 
 def test_directions_between_steps_hold_only_their_iterates():
