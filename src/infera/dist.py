@@ -91,6 +91,20 @@ def check_cells(alphabet: int, n: int, cap: int, what: str = "prior") -> int:
     return size
 
 
+def check_length(shape: tuple, alphabet: int, n: int, what: str) -> None:
+    """DimensionMismatch unless shape is (alphabet**n,).  alphabet**n is
+    counted up only as far as the length (check_cells), so a huge n
+    neither forms the power nor prints it; below 2 its magnitude is at
+    most one, and it is formed."""
+    try:
+        fits = len(shape) == 1 and n >= 0 and shape[0] == (
+            alphabet**n if abs(alphabet) < 2 else check_cells(alphabet, n, shape[0]))
+    except SizeCap:
+        fits = False
+    if not fits:
+        raise DimensionMismatch(f"expected {alphabet}**{n} {what}, got {shape}")
+
+
 def faces(flat: np.ndarray, n: int, alphabet_size: int, a: int) -> np.ndarray:
     """(alphabet_size, alphabet_size**(n - 1)) array of flat split along
     coordinate a: row z holds the cells with x_a = z, little-endian over
@@ -148,11 +162,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.probs.shape != (self.alphabet_size**self.n,):
-            raise DimensionMismatch(
-                f"expected {self.alphabet_size**self.n} entries, "
-                f"got {self.probs.shape}"
-            )
+        check_length(self.probs.shape, self.alphabet_size, self.n, "entries")
         self.probs.setflags(write=False)
 
     def dense(self, cap: int = DEFAULT_CAP) -> "JointDistribution":

@@ -15,10 +15,11 @@ where c and e are the conditional priors given x_a = z1 and x_a = z0 and
 the rows are the budget on the other coordinates.  Mehrotra's primal-dual
 predictor-corrector method drives this LP, each step going the fraction
 max(_STEP, min(1 - mu, 1 - 2**-30)) of the way to the boundary, mu the
-mean complementarity; a direction that rule leaves uncertified is run
-again at the fixed _STEP (see _certify).  No iterate is trusted: after
-every iteration two bounds are computed from it by code that does not
-depend on how it was found.
+mean complementarity; a direction that rule leaves open and that could
+still win is run once more at the fixed _STEP, starting from the bounds
+it has (nu_exact).  No iterate is trusted: after every iteration two
+bounds are computed from it by code that does not depend on how it was
+found.
 
 * Lower: the largest eps-Lipschitz minorant w of ln u meets the budget by
   construction, and eps_a + ln(c.e^w / e.e^w) is attained by it.  Before
@@ -101,8 +102,9 @@ class NuCertificate:
     bound of each stopped one: a direction left open because it could not
     beat another by more than half of GAP_TOL.  stopped maps each of those
     to its certified interval [lower, upper].  steps counts the
-    interior-point steps of each direction, its restart's included, and
-    restarted lists the directions that needed one.
+    interior-point steps of each direction, a restart's included, and
+    restarted lists the directions run again at the fixed step because
+    the first run left them open while they could still win.
     """
 
     nu: float
@@ -339,28 +341,30 @@ def _step(prim, dual, t, rd, e, rows, step_factor):
         return prim + eta * _max_step(prim, dp) * dp, dual + ad * dd, t + ad * dt
 
 
-def _interior_point(c, e, rows, eps, alph, seed, step_factor):
+def _interior_point(c, e, rows, eps, alph, step_factor, bounds):
     """One interior-point run whose step factor is step_factor(mu), as a
     generator: after each certificate it yields (lower, upper, w, steps),
     the best bounds on ln max c.u / e.u so far, the log-witness w
-    attaining lower and the steps taken.  The log-profile seed, which
-    must meet the budget, is the first witness.  The run ends once the
-    bounds meet within _DIRECTION_GAP, after certifying the iterate of
-    step _MAX_ITER, or when an iterate or a bound is not finite; in the
-    last case it yields its bounds once more with the steps taken.  The
-    iterate is two vectors, the primal [u, s] and the dual [z, y], so each
-    side moves as one."""
+    attaining lower and the steps taken.  It starts from bounds, such a
+    state: (-inf, inf, seed, 0), seed a log-profile meeting the budget,
+    or the state an earlier run ended in, whose bounds hold whatever
+    iterate they came from.  The run ends once the bounds meet within
+    _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
+    when an iterate or a bound is not finite; in the last case it yields
+    its bounds once more with the steps taken.  The iterate is two
+    vectors, the primal [u, s] and the dual [z, y], so each side moves as
+    one."""
     size, gain = rows.size, rows.gain
     kernel = _kernel(e, eps, alph)
     # u = 1 meets e.u = 1 and every row within its slack; the duals put
     # each product u z and s y at 1/size.
     prim, t = np.concatenate([np.ones(size), gain]), 1.0
     dual = np.concatenate([np.full(size, 1.0 / size), 1.0 / (size * gain)])
-    lower, upper, witness = -math.inf, math.inf, None
+    lower, upper, witness, before = bounds
     with np.errstate(all="ignore"):
-        first = _attained(c, e, seed)  # NaN where the seed's mass underflows
+        first = _attained(c, e, witness)  # NaN where the witness's mass underflows
     if first > lower:
-        lower, witness = first, seed
+        lower = first
     for it in range(_MAX_ITER + 1):
         if not (np.isfinite(prim).all() and np.isfinite(dual).all() and math.isfinite(t)):
             break
@@ -370,52 +374,24 @@ def _interior_point(c, e, rows, eps, alph, seed, step_factor):
         if low_here > lower:
             lower, witness = low_here, w
         upper = min(upper, up_here)
-        yield lower, upper, witness, it
+        yield lower, upper, witness, before + it
         if upper - lower <= _DIRECTION_GAP or it == _MAX_ITER:
             return
         stepped = _step(prim, dual, t, rd, e, rows, step_factor)
         if stepped is None:
             return
         prim, dual, t = stepped
-    yield lower, upper, witness, it
+    yield lower, upper, witness, before + it
 
 
-def _certify(c, e, rows, eps, alph, seed):
-    """One direction, as a generator: after each certificate it yields
-    (lower, upper, w, steps, restart_steps), the best bounds on
-    ln max c.u / e.u over the profiles that meet the rows so far, the
-    log-witness w attaining lower, the interior-point steps of the first
-    run, and those of the restart, or None before one.  It ends once the
-    bounds meet within _DIRECTION_GAP or both runs have ended.
-
-    The first run takes each step at the fraction _adaptive_step(mu) of
-    the way to the boundary.  When it leaves the direction uncertified,
-    the run is made again with the fixed fraction _STEP, and the two runs'
-    bounds merge: the larger lower bound with its witness, and the smaller
-    upper bound.  Each bound holds whatever iterate it came from, so the
-    merged pair is certified wherever either run alone certifies."""
-    for lower, upper, w, steps in _interior_point(c, e, rows, eps, alph, seed, _adaptive_step):
-        yield lower, upper, w, steps, None
-    if upper - lower <= _DIRECTION_GAP:
-        return
-    for low2, up2, w2, restart_steps in _interior_point(c, e, rows, eps, alph, seed,
-                                                        _fixed_step):
-        if low2 > lower:
-            lower, w = low2, w2
-        upper = min(upper, up2)
-        yield lower, upper, w, steps, restart_steps
-        if upper - lower <= _DIRECTION_GAP:
-            return
-
-
-def _lockstep(runs):
+def _lockstep(runs, best=-math.inf):
     """The last state (lower, upper, ...) that each direction's run in the
     mapping runs yielded, every run advanced one certificate per round;
     runs is emptied.
     A run ends once its bounds meet within _DIRECTION_GAP or it has no
     more to yield.  After each round, an open run whose upper bound is at
-    most the best lower bound of any direction plus _DIRECTION_GAP is
-    stopped: it cannot beat that direction by more."""
+    most best, the best lower bound of any direction, plus _DIRECTION_GAP
+    is stopped: it cannot beat that direction by more."""
     states = {}
     while runs:
         for z, run in list(runs.items()):
@@ -424,7 +400,7 @@ def _lockstep(runs):
                 states[z] = state
             if state is None or state[1] - state[0] <= _DIRECTION_GAP:
                 del runs[z]
-        best = max(state[0] for state in states.values())
+        best = max(best, *(state[0] for state in states.values()))
         for z in [z for z in runs if states[z][1] <= best + _DIRECTION_GAP]:
             del runs[z]
     return states
@@ -443,15 +419,17 @@ def nu_exact(
     of supported target values, all in lockstep (_lockstep).  A direction
     whose upper bound falls to within half of GAP_TOL of another's lower
     bound is stopped, as it cannot change nu, nu_upper's window or the
-    witness except where the two tie within that margin; one that ends
-    open and could still win raises LPError.  The best certified
-    direction wins: a later direction wins only when it beats the best by
-    more than half of GAP_TOL, so for a symmetric binary target a tie
-    reports (0, 1).  The witness is the winning direction's profile scaled to maximum
-    entry one and held constant along the coordinates outside C; it must
-    meet the budget under dp_audit, and its replay through mechanism_nu
-    on the whole prior, which is reported as nu, must lie within GAP_TOL
-    below the largest upper bound.  When C leaves coordinates out, that
+    witness except where the two tie within that margin.  The directions
+    the step rule leaves open that could still win run again at the fixed
+    step, in a second lockstep round; one that still ends open and could
+    win raises LPError.  The best certified direction wins: a later
+    direction wins only when it beats the best by more than half of
+    GAP_TOL, so for a symmetric binary target a tie reports (0, 1).  The
+    witness is the winning direction's profile scaled to maximum entry
+    one and held constant along the coordinates outside C; it must meet
+    the budget under dp_audit, and its replay through mechanism_nu on the
+    whole prior, which is reported as nu, must lie within GAP_TOL below
+    the largest upper bound.  When C leaves coordinates out, that
     bound is widened by 4 _BLOCK_TOL and the window by twice that.
     SizeCap is raised when the LP on C would have more than 2**(cap - 1)
     variables, or need more than _LP_BYTE_CAP bytes.
@@ -490,25 +468,31 @@ def nu_exact(
     eps = budget.eps[[c for c in block if c != a]]
     rows = _ratio_rows(k - 1, alph, np.delete(gains, a_block))
     eps_a = float(budget.eps[a])
+    directions = [(z0, z1) for z0 in supported for z1 in supported if z0 != z1]
+
+    def run(z, step_factor, bounds):
+        return _interior_point(cond[z[1]], cond[z[0]], rows, eps, alph, step_factor, bounds)
+
     # The maximally z1-biased profile meets the budget and is optimal for
     # affiliated priors: it seeds the lower bound of direction (z0, z1).
-    directions = [(z0, z1) for z0 in supported for z1 in supported if z0 != z1]
-    states = _lockstep({
-        (z0, z1): _certify(cond[z1], cond[z0], rows, eps, alph, max_biased_log(eps, z1, alph))
-        for z0, z1 in directions
-    })
+    first = _lockstep({z: run(z, _adaptive_step, (-math.inf, math.inf,
+                                                  max_biased_log(eps, z[1], alph), 0))
+                       for z in directions})
+    best_lower = max(state[0] for state in first.values())
+    # A direction the step rule leaves open that can still win runs again
+    # at the fixed _STEP, from the bounds it has.
+    restarted = [z for z, (lower, upper, _, _) in first.items()
+                 if upper - lower > _DIRECTION_GAP and upper > best_lower + _DIRECTION_GAP]
+    states = {**first, **_lockstep({z: run(z, _fixed_step, first[z]) for z in restarted},
+                                   best_lower)}
     best_lower = max(state[0] for state in states.values())
     best = None
     nu_upper = -math.inf
     per_direction: Dict[Tuple[int, int], float] = {}
     steps: Dict[Tuple[int, int], int] = {}
     stopped: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    restarted = []
     for z in directions:
-        lower, upper, w, first, restart = states[z]
-        steps[z] = first + (restart or 0)
-        if restart is not None:
-            restarted.append(z)
+        lower, upper, w, steps[z] = states[z]
         nu_upper = max(nu_upper, eps_a + upper)
         if upper - lower <= _DIRECTION_GAP:
             value = eps_a + lower
@@ -517,13 +501,13 @@ def nu_exact(
                 best = (value, z, w)
         elif upper <= best_lower + _DIRECTION_GAP:
             # Open, but it cannot win, whether _lockstep stopped it or
-            # both of its runs ended.
+            # its runs ended.
             per_direction[z] = eps_a + upper
             stopped[z] = (eps_a + lower, eps_a + upper)
         else:
             raise LPError(
-                f"direction {z} not certified after {first} interior-point "
-                f"iterations, nor after {restart} on restart at the fixed step "
+                f"direction {z} not certified after {first[z][3]} interior-point "
+                f"iterations, nor after {steps[z] - first[z][3]} on restart at the fixed step "
                 f"{_STEP}: nu in [{eps_a + lower}, {eps_a + upper}]"
             )
 

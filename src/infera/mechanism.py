@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import JointDistribution, cell_fold, conditional_means, face_views, odd_count
+from .dist import (JointDistribution, cell_fold, check_length, conditional_means, face_views,
+                   odd_count)
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
 
@@ -61,10 +62,7 @@ class EventProfile:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.alphabet_size**self.n,):
-            raise DimensionMismatch(
-                f"expected {self.alphabet_size**self.n} values, got {v.shape}"
-            )
+        check_length(v.shape, self.alphabet_size, self.n, "values")
         if np.any(v <= 0.0):
             raise NegativeProbability("profile entries must be strictly positive")
         if np.any(v > 1.0 + 1e-12):

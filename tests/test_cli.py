@@ -20,6 +20,7 @@ from infera.files import distribution_from_obj
 from infera.ising import IsingPrior, nu_tree, tree_prior
 from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
 from infera.dist import JointDistribution, parity_constrained
+from test_lp_exact import _family_draws
 
 
 @pytest.fixture
@@ -223,6 +224,24 @@ def test_nu_reports_lp_steps_outside_results(write_json, capsys):
                 assert results["per_direction"][z] == float(f"{upper:.12g}")
         assert not {"lp_steps", "lp_restarted", "lp_stopped"} & set(results)
         assert json.dumps(results) == json.dumps(again["results"])
+
+
+def test_nu_reports_a_restart_outside_results(write_json, capsys):
+    # The pinned parity draw (1050, 10, 11) of test_lp_exact at 50 times
+    # the benchmark's budgets: the step rule leaves direction 1->0 open
+    # while it could still win, and the fixed-step restart closes it.
+    rng = np.random.default_rng(1050)
+    for _ in range(10):
+        list(_family_draws(rng, 50.0))
+    fam, _, budget, a = list(_family_draws(rng, 50.0))[11]
+    assert (fam, a) == ("parity", 1)
+    path = write_json("parity.json", {"generator": "parity", "params": {"r": 1, "s": 5}})
+    eps = ",".join(repr(float(v)) for v in budget.eps)
+    code, report = _run(capsys, ["nu", "--dist", path, "--eps", eps, "--target", "1"])
+    assert code == 0
+    assert report["diagnostics"]["lp_restarted"] == ["1->0"]
+    assert report["diagnostics"]["lp_steps"] == {"0->1": 14, "1->0": 33}
+    assert not {"lp_steps", "lp_restarted", "lp_stopped"} & set(report["results"])
 
 
 def test_a_file_loads_as_one_prior():

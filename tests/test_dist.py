@@ -34,7 +34,7 @@ from infera.errors import (
     ZeroMass,
 )
 from infera.affiliated import nu_closed_form, random_affiliated
-from infera.mechanism import PrivacyBudget, max_biased_profile
+from infera.mechanism import EventProfile, PrivacyBudget, max_biased_profile
 from infera.ising import IsingPrior, tree_prior
 
 
@@ -138,6 +138,22 @@ def test_size_checks_refuse_without_forming_the_power(build, power, cap):
         tracemalloc.stop()
     assert str(exc.value) == f"prior needs {power} entries, cap {cap}"
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda n: JointDistribution(n=n, alphabet_size=2, probs=np.full(4, 0.25)), "entries"),
+    (lambda n: EventProfile(n=n, alphabet_size=2, values=np.full(4, 0.25)), "values"),
+], ids=["prior", "profile"])
+def test_shape_checks_name_the_power_on_a_huge_n(build, what):
+    # 2**(10**5) has more digits than Python prints: the shape check
+    # counts up to the length instead and names the power.
+    with pytest.raises(DimensionMismatch, match=rf"^expected 2\*\*100000 {what}, got \(4,\)$"):
+        build(10**5)
+    with pytest.raises(DimensionMismatch, match=rf"^expected 2\*\*3 {what}, got \(4,\)$"):
+        build(3)
+    with pytest.raises(DimensionMismatch, match=rf"^expected 2\*\*-1 {what}"):
+        build(-1)
+    assert build(2).n == 2
 
 
 def test_normalization_invariant_random():

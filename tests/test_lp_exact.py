@@ -257,7 +257,7 @@ def test_lp_cap_counts_cells(monkeypatch):
     def never(*args):
         raise AssertionError("LP solved past the cap")
 
-    monkeypatch.setattr("infera.lp_exact._certify", never)
+    monkeypatch.setattr("infera.lp_exact._interior_point", never)
     d = from_dense(9, 3, np.random.default_rng(9).uniform(0.05, 1.0, 3**9))
     with pytest.raises(SizeCap):
         nu_exact(d, PrivacyBudget.uniform(9, 0.1), 0)
@@ -327,19 +327,19 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
     # No direction of these draws took more than 9 steps, nor all of them
     # more than 131, when this test was written: a rewrite that keeps the
     # values but converges more slowly, or stops fewer of the directions
-    # that cannot win, fails here.  A restart's steps count.
+    # that cannot win, fails here.  No direction is restarted.
     most_steps, total_steps = 9, 135
-    steps, total = [], 0
-    certify = lp_exact._certify
+    steps, factors, total = [], [], 0
 
     def counted(*args):
         k = len(steps)
         steps.append(0)
-        for state in certify(*args):
-            steps[k] = state[3] + (state[4] or 0)
+        factors.append(args[5])
+        for state in _INTERIOR_POINT(*args):
+            steps[k] = state[3]
             yield state
 
-    monkeypatch.setattr(lp_exact, "_certify", counted)
+    monkeypatch.setattr(lp_exact, "_interior_point", counted)
     for fam, prior, budget, a in _family_draws(np.random.default_rng(42)):
         del steps[:]
         cert = nu_exact(prior, budget, a)
@@ -347,12 +347,16 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
         assert sorted(cert.steps.values()) == sorted(steps) and cert.restarted == ()
         total += sum(steps)
     assert total <= total_steps
+    assert lp_exact._fixed_step not in factors
 
 
-def _fixed_step_only(*args):
-    """_certify as a single run at the fixed step factor."""
-    for state in lp_exact._interior_point(*args, lp_exact._fixed_step):
-        yield (*state, None)
+# Wrapped by the tests that patch lp_exact._interior_point.
+_INTERIOR_POINT = lp_exact._interior_point
+
+
+def _fixed_step_only(c, e, rows, eps, alph, step_factor, bounds):
+    """_interior_point at the fixed step factor, whichever it was given."""
+    return _INTERIOR_POINT(c, e, rows, eps, alph, lp_exact._fixed_step, bounds)
 
 
 def _run_out(run):
@@ -383,26 +387,31 @@ def _wide_budget_priors(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_wide_budget_priors())
 def test_the_step_rule_certifies_wherever_the_fixed_step_does(case):
+    # Each direction's step-rule run against a fixed-step run from the
+    # same start; a restart passes through.
     prior, budget, a = case
     gap = lp_exact._DIRECTION_GAP
-    certify = lp_exact._certify
     calls = []
 
     def both(*args):
+        if args[5] is lp_exact._fixed_step:
+            yield from _INTERIOR_POINT(*args)
+            return
         *_, fixed = _fixed_step_only(*args)
-        *_, got = certify(*args)
+        *_, got = _INTERIOR_POINT(*args)
         assert got[0] <= fixed[1] + 1e-12 and fixed[0] <= got[1] + 1e-12
         if fixed[1] - fixed[0] <= gap:
             assert got[1] - got[0] <= gap and abs(got[0] - fixed[0]) <= GAP_TOL
         calls.append(args)
         yield got
 
-    with mock.patch.object(lp_exact, "_certify", both):
+    with mock.patch.object(lp_exact, "_interior_point", both):
         cert = _nu_or_none(prior, budget, a)
     # Every direction went through the comparison.
     alph = prior.alphabet_size
     assert len(calls) == alph * (alph - 1)
-    with mock.patch.object(lp_exact, "_certify", lambda *args: _run_out(_fixed_step_only(*args))):
+    with mock.patch.object(lp_exact, "_interior_point",
+                           lambda *args: _run_out(_fixed_step_only(*args))):
         fixed = _nu_or_none(prior, budget, a)
     if fixed is not None:
         assert cert is not None
@@ -413,17 +422,17 @@ def test_the_step_rule_certifies_wherever_the_fixed_step_does(case):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_wide_budget_priors())
 def test_stopping_directions_that_cannot_win_keeps_the_answer(case):
-    # The lockstep solve against every direction run to completion.
+    # The lockstep solve against every run taken to completion.
     prior, budget, a = case
-    certify = lp_exact._certify
     calls = []
 
     def full(*args):
-        calls.append(args)
-        return _run_out(certify(*args))
+        if args[5] is lp_exact._adaptive_step:
+            calls.append(args)
+        return _run_out(_INTERIOR_POINT(*args))
 
     cert = _nu_or_none(prior, budget, a)
-    with mock.patch.object(lp_exact, "_certify", full):
+    with mock.patch.object(lp_exact, "_interior_point", full):
         whole = _nu_or_none(prior, budget, a)
     alph = prior.alphabet_size
     assert len(calls) == alph * (alph - 1)
@@ -445,40 +454,32 @@ def test_stopping_directions_that_cannot_win_keeps_the_answer(case):
     assert sum(cert.steps.values()) <= sum(whole.steps.values())
 
 
-def test_a_direction_the_step_rule_leaves_open_is_certified_on_restart(monkeypatch):
-    # Each direction runs to completion here, so that none is stopped.
-    # With its factor uncapped, the step rule's run of direction (1, 3)
-    # stops 4.6e-8 short of the gap once the factor rounds to one; the
-    # fixed-step run closes it.  Capped, the rule certifies it first time.
+def test_a_direction_the_step_rule_leaves_open_that_cannot_win_is_not_restarted(monkeypatch):
+    # Each run goes to completion here, so that no direction is stopped
+    # while its run goes on.  With its factor uncapped, the step rule's
+    # run of direction (1, 3) stops 4.6e-8 short of the gap once the
+    # factor rounds to one; it cannot win, so it is stopped, not run
+    # again.  Capped, the rule certifies it first time.
     rng = np.random.default_rng(126)
     prior = from_dense(3, 4, rng.uniform(0.05, 1.0, 64))
     budget = PrivacyBudget(5.0 * rng.uniform(0.05, 1.0, 3))
     a = int(rng.integers(3))
-    certify = lp_exact._certify
-    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(certify(*args)))
+    monkeypatch.setattr(lp_exact, "_interior_point",
+                        lambda *args: _run_out(_INTERIOR_POINT(*args)))
     capped = nu_exact(prior, budget, a)
     assert capped.restarted == () and capped.stopped == {} and len(capped.steps) == 12
     monkeypatch.setattr(lp_exact, "_adaptive_step", lambda mu: max(lp_exact._STEP, 1.0 - mu))
     cert = nu_exact(prior, budget, a)
-    assert cert.restarted == ((1, 3),) and cert.stopped == {}
+    lower, upper = cert.stopped.pop((1, 3))
+    assert cert.restarted == () and cert.stopped == {}
+    assert 0.0 < upper - lower - lp_exact._DIRECTION_GAP < 1e-7
+    assert upper < cert.nu and cert.per_direction[(1, 3)] == upper
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
     assert abs(cert.nu - capped.nu) <= GAP_TOL
-    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(_fixed_step_only(*args)))
+    monkeypatch.setattr(lp_exact, "_adaptive_step", lp_exact._fixed_step)
     fixed = nu_exact(prior, budget, a)
     assert abs(cert.nu - fixed.nu) <= GAP_TOL
     assert cert.nu <= fixed.nu_upper and fixed.nu <= cert.nu_upper
-
-    def adaptive_only(*args):
-        for state in lp_exact._interior_point(*args, lp_exact._adaptive_step):
-            yield (*state, None)
-
-    # Without the restart, direction (1, 3) stays open; it cannot win, so
-    # it is stopped rather than refused.
-    monkeypatch.setattr(lp_exact, "_certify", lambda *args: _run_out(adaptive_only(*args)))
-    open_ = nu_exact(prior, budget, a)
-    lower, upper = open_.stopped.pop((1, 3))
-    assert open_.stopped == {} and 0.0 < upper - lower - lp_exact._DIRECTION_GAP < 1e-7
-    assert upper < open_.nu and open_.per_direction[(1, 3)] == upper
 
 
 # Family draws at 50 times the benchmark's budgets, as (seed, round, draw):
@@ -497,6 +498,7 @@ def test_wide_family_draws_that_need_the_restart_are_answered(seed, rounds, inde
         list(_family_draws(rng, 50.0))
     fam, prior, budget, a = list(_family_draws(rng, 50.0))[index]
     cert = nu_exact(prior, budget, a)
+    assert len(cert.restarted) == 1, fam
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL, fam
     assert np.all(dp_audit(cert.witness).eps <= budget.eps + 1e-9)
     assert abs(mechanism_nu(prior, cert.witness, a) - cert.nu) <= 1e-9
