@@ -9,15 +9,10 @@ adjacent pair, the entry is unbounded (math.inf).
 
 Each site i gets one table log Pr(x_i | context) over the flat cells,
 read as nan in a context of zero mass and -inf for a value off the
-conditional support.  An entry is half the largest |difference| between
-two faces of that table along x_j, taken as the larger of the fmax and
--fmin of the differences, which skip nan: nan marks an inadmissible
-context or a value off the support on both faces, and an infinite
-difference is exactly a support change.  Each face is read along its
-longest run: the contiguous runs of x_j's faces are alphabet_size**j
-cells long, and short ones are read across, so no numpy inner loop
-walks a handful of cells at a time.  Max and min do not depend on the
-order of the cells.
+conditional support.  An entry is half dist.face_range of that table
+along x_j, which skips nan: nan marks an inadmissible context or a value
+off the support on both faces, and an infinite difference is exactly a
+support change.
 
 When the matrix G has spectral norm below one, the inference parameter
 of coordinate i under budget eps obeys nu_i <= 2 * ((I - G)^-1 eps)_i,
@@ -33,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import JointDistribution, face_views
+from .dist import JointDistribution, face_range, face_views
 from .errors import (
     DegenerateDistribution,
     DimensionMismatch,
@@ -90,17 +85,8 @@ def influence_matrix(dist: JointDistribution) -> InfluenceMatrix:
             for lp, out in zip(face_views(log_p, alph, i), face_views(lc, alph, i)):
                 np.subtract(lp, log_ctx, out=out)
             for j in range(n):
-                if j == i:
-                    continue
-                hi = lo = 0.0
-                lc_faces = face_views(lc, alph, j)
-                for u in range(alph):
-                    for v in range(u + 1, alph):
-                        diff = np.subtract(lc_faces[u], lc_faces[v],
-                                           out=buf.reshape(lc_faces[u].shape))
-                        hi = np.fmax.reduce(diff, axis=None, initial=hi)
-                        lo = np.fmin.reduce(diff, axis=None, initial=lo)
-                gamma[i, j] = 0.5 * max(hi, -lo)
+                if j != i:
+                    gamma[i, j] = 0.5 * face_range(lc, alph, j, out=buf)
     return InfluenceMatrix(gamma=gamma)
 
 

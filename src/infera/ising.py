@@ -190,11 +190,10 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
         field = np.stack([prior.h, prior.h + half, prior.h - half])
         ends = np.concatenate([prior.i, prior.j])
         deg = np.bincount(ends, minlength=n)
-        # Sums of the indices of each site's remaining neighbours and
-        # edges: once one neighbour is left, they name it.
-        nbr = np.bincount(ends, weights=np.concatenate([prior.j, prior.i]), minlength=n)
-        edge = np.bincount(ends, weights=np.tile(np.arange(prior.i.size), 2), minlength=n)
-        nbr, edge = nbr.astype(np.int64), edge.astype(np.int64)
+        # Sums of the indices of each site's remaining edges: once one
+        # edge is left, the sum names it.
+        edge = np.bincount(ends, weights=np.tile(np.arange(prior.i.size), 2),
+                           minlength=n).astype(np.int64)
         alive = np.ones(n, dtype=bool)
         rounds = []
         left = n
@@ -207,12 +206,11 @@ def nu_tree(prior: IsingPrior, budget: PrivacyBudget) -> np.ndarray:
             alive[leaves] = False
             left -= leaves.size
             child = leaves[deg[leaves] == 1]
-            parent = nbr[child]
-            hangs = alive[parent] | (parent < child)
-            child, parent = child[hangs], parent[hangs]
             e = edge[child]
+            parent = prior.i[e] + prior.j[e] - child
+            hangs = alive[parent] | (parent < child)
+            child, parent, e = child[hangs], parent[hangs], e[hangs]
             np.subtract.at(deg, parent, 1)
-            np.subtract.at(nbr, parent, child)
             np.subtract.at(edge, parent, e)
             J = prior.J[e]
             msg = _cavity_message(field[:, child], J)

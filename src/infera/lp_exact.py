@@ -28,6 +28,8 @@ found.
 * Upper: for any y >= 0 and any t, every feasible u has u(x) K(x) <= e.u
   = 1, where K(x) = sum_s e(s) e^{-d(x, s)} and d is the eps-weighted
   Hamming metric.  So c.u <= t + sum_x max(0, c - A^T y - t e)(x) / K(x).
+  Before the first iteration, y = 0 and t = 0 give sum_x c(x) / K(x),
+  exact when c and e are point masses, as on twins priors.
 
 A direction is certified once the two meet.  nu_exact steps every
 direction in lockstep, one iteration each per round, and after each round
@@ -256,9 +258,11 @@ def _fixed_step(mu: float) -> float:
 
 
 def _attained(c: np.ndarray, e: np.ndarray, w: np.ndarray) -> float:
-    """ln c.m / e.m of the profile m = e^w; NaN where its mass underflows."""
+    """ln c.m / e.m of the profile m = e^w; NaN where that is not finite,
+    as where its mass underflows on either face."""
     m = np.exp(w - w.max())
-    return float(np.log(c @ m) - np.log(e @ m))
+    value = float(np.log(c @ m) - np.log(e @ m))
+    return value if math.isfinite(value) else math.nan
 
 
 def _bounds(prim, dual, t, c, e, rows, kernel, eps, alph):
@@ -348,12 +352,13 @@ def _interior_point(c, e, rows, eps, alph, step_factor, bounds):
     attaining lower and the steps taken.  It starts from bounds, such a
     state: (-inf, inf, seed, 0), seed a log-profile meeting the budget,
     or the state an earlier run ended in, whose bounds hold whatever
-    iterate they came from.  The run ends once the bounds meet within
-    _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
-    when an iterate or a bound is not finite; in the last case it yields
-    its bounds once more with the steps taken.  The iterate is two
-    vectors, the primal [u, s] and the dual [z, y], so each side moves as
-    one."""
+    iterate they came from, and tightens them by what w attains and by
+    the upper bound at y = 0 and t = 0.  The run ends once the bounds
+    meet within _DIRECTION_GAP, after certifying the iterate of step
+    _MAX_ITER, or when an iterate or a bound is not finite; in the last
+    case it yields its bounds once more with the steps taken.  The
+    iterate is two vectors, the primal [u, s] and the dual [z, y], so
+    each side moves as one."""
     size, gain = rows.size, rows.gain
     kernel = _kernel(e, eps, alph)
     # u = 1 meets e.u = 1 and every row within its slack; the duals put
@@ -362,7 +367,11 @@ def _interior_point(c, e, rows, eps, alph, step_factor, bounds):
     dual = np.concatenate([np.full(size, 1.0 / size), 1.0 / (size * gain)])
     lower, upper, witness, before = bounds
     with np.errstate(all="ignore"):
-        first = _attained(c, e, witness)  # NaN where the witness's mass underflows
+        first = _attained(c, e, witness)
+        # The upper bound at y = 0 and t = 0 (module docstring).
+        resid = c * (1.0 + rows.rounding)
+        excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
+        upper = min(upper, float(np.log(excess.sum())))
     if first > lower:
         lower = first
     for it in range(_MAX_ITER + 1):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import (JointDistribution, cell_fold, check_length, conditional_means, face_views,
+from .dist import (JointDistribution, cell_fold, check_length, conditional_means, face_range,
                    odd_count)
 from .errors import DimensionMismatch, NegativeProbability, UnsupportedAlphabet
 
@@ -153,22 +153,11 @@ def dp_audit(profile: EventProfile) -> PrivacyBudget:
 
     eps_i = max |ln m(x) - ln m(x')| over pairs differing only at i: the
     widest range of ln m along coordinate i over the other coordinates,
-    read as the largest |difference| of two faces x_i = u and x_i = v,
-    max(fmax, -fmin) of their difference.  Rounding is monotone, so this
-    is bit for bit the largest np.ptp of the faces.
+    dist.face_range of the log table.  Rounding is monotone, so this is
+    bit for bit the largest np.ptp of the faces.
     """
     logs = np.log(profile.values)
-    eps = []
-    for i in range(profile.n):
-        views = face_views(logs, profile.alphabet_size, i)
-        widest = 0.0
-        for u, high in enumerate(views):
-            for low in views[u + 1:]:
-                diff = high - low
-                widest = max(widest, float(np.fmax.reduce(diff, axis=None)),
-                             -float(np.fmin.reduce(diff, axis=None)))
-        eps.append(widest)
-    return PrivacyBudget(eps)
+    return PrivacyBudget([face_range(logs, profile.alphabet_size, i) for i in range(profile.n)])
 
 
 def mechanism_nu(dist: JointDistribution, profile: EventProfile, a: int) -> float:

@@ -750,10 +750,13 @@ def test_nan_budget_is_named_as_eps(capsys, argv):
 @pytest.mark.parametrize("prior,method,eps", [
     (TREE3, "exact", "800"), (TREE3, "closed-form", "1000"), (TREE3, "all", "800"),
     (TREE3, "exact", "700"),
+    # The biased seed's mass underflows on one face of the LP: a bracket.
+    ({"generator": "twins", "params": {"n": 6, "p_one": 0.4}}, "exact", "150"),
     # h0 + eps/2 overflows a float in the single site's effective field.
     ({"generator": "ising_tree", "params": {"d": 2, "depth": 0, "J": 0.3, "h0": 1.5e308}},
      "gibbs", "1e308"),
-], ids=["exact-800", "closed-form-1000", "all-800", "exact-700", "gibbs-overflow"])
+], ids=["exact-800", "closed-form-1000", "all-800", "exact-700", "twins-exact-150",
+        "gibbs-overflow"])
 def test_nu_huge_budget_is_a_typed_error(write_json, capsys, prior, method, eps):
     path = write_json("tree3.json", prior)
     code = main(["nu", "--dist", path, "--eps", eps, "--method", method])

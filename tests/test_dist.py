@@ -16,6 +16,7 @@ from infera.dist import (
     cell_tensor,
     check_cells,
     conditional_means,
+    face_range,
     faces,
     from_dense,
     is_pairwise_positively_correlated,
@@ -426,6 +427,29 @@ def test_cell_tensor_and_faces_match_index_loops():
             for z in range(alph):
                 want = [flat[k] for k in range(size) if _digits_of(k, n, alph)[a] == z]
                 assert np.array_equal(faces(flat, n, alph, a)[z], want)
+
+
+def test_face_range_matches_its_definition():
+    # Runs of 1 to 32 cells, read across and along; nan terms are skipped
+    # and infinite ones kept, inf - inf counting as nan.
+    rng = np.random.default_rng(17)
+    for n, alph in ((1, 2), (3, 2), (6, 2), (3, 3), (4, 3), (2, 4)):
+        size = alph**n
+        flat = rng.normal(size=size)
+        flat[rng.random(size) < 0.1] = math.nan
+        flat[rng.random(size) < 0.05] = -math.inf
+        for k in range(n):
+            want = 0.0
+            for c in range(size):
+                for v in range(alph):
+                    other = c + (v - _digits_of(c, n, alph)[k]) * alph**k
+                    with np.errstate(invalid="ignore"):
+                        diff = abs(flat[c] - flat[other])
+                    if not math.isnan(diff):
+                        want = max(want, diff)
+            with np.errstate(invalid="ignore"):
+                assert face_range(flat, alph, k) == want, (n, alph, k)
+                assert face_range(flat, alph, k, out=np.empty(size // alph)) == want
 
 
 def test_pair_marginals_match_their_definition():

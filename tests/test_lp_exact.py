@@ -208,8 +208,8 @@ def test_tree_matches_closed_form_at_large_budgets(eps):
 
 def test_twins_at_wide_budgets_answer_or_bracket_the_truth():
     # nu of a twins prior is the sum of the budget.  At eps_i ~ s U[0.05, 1)
-    # the optimal profile spans up to e^(6 s); 50 of these 60 draws were
-    # answered when this floor was set.
+    # the optimal profile spans up to e^(6 s); all 60 draws are answered at
+    # step 0, where the upper bound with y = 0 and t = 0 is exact.
     rng = np.random.default_rng(2016)
     answered = 0
     for s in (30.0, 40.0, 50.0):
@@ -227,7 +227,18 @@ def test_twins_at_wide_budgets_answer_or_bracket_the_truth():
             else:
                 answered += 1
                 assert abs(cert.nu - truth) <= 1e-9
-    assert answered >= 50
+    assert answered >= 60
+
+
+def test_twins_whose_witness_mass_underflows_name_both_bounds():
+    # At eps_i = 150 the biased seed's mass underflows on the x_a = 0 face
+    # alone, and the kernel underflows at the all-ones cell: nu = 900 is
+    # bracketed, not answered.
+    d = perfectly_correlated(6, 0.4)
+    with pytest.raises(LPError, match=r"nu in \[\S+, inf\]") as exc:
+        nu_exact(d, PrivacyBudget.uniform(6, 150.0), 0)
+    lower = float(re.search(r"nu in \[(\S+),", str(exc.value)).group(1))
+    assert 0.0 < lower <= 900.0
 
 
 def test_pivot_limit_product_gives_own_budget():
@@ -325,10 +336,10 @@ def _family_draws(rng, scale=1.0):
 
 def test_interior_point_converges_within_its_step_budget(monkeypatch):
     # No direction of these draws took more than 9 steps, nor all of them
-    # more than 131, when this test was written: a rewrite that keeps the
-    # values but converges more slowly, or stops fewer of the directions
-    # that cannot win, fails here.  No direction is restarted.
-    most_steps, total_steps = 9, 135
+    # more than 101, when this test was last tightened: a rewrite that
+    # keeps the values but converges more slowly, or stops fewer of the
+    # directions that cannot win, fails here.  No direction is restarted.
+    most_steps, total_steps = 9, 101
     steps, factors, total = [], [], 0
 
     def counted(*args):
@@ -482,21 +493,26 @@ def test_a_direction_the_step_rule_leaves_open_that_cannot_win_is_not_restarted(
     assert cert.nu <= fixed.nu_upper and fixed.nu <= cert.nu_upper
 
 
-# Family draws at 50 times the benchmark's budgets, as (seed, round, draw):
-# the draw-th of the round-th call of _family_draws on default_rng(seed).
-# The step rule's run leaves one direction of each open, and would refuse
-# it: on the first two mu climbs past 1e30 until the iterate stops being
-# finite, the other three end 1.6e-9 to 1.4e-8 short of the gap.  Only the
-# fixed-step restart answers them.
-_RESTART_DRAWS = [(1050, 10, 2), (1050, 10, 11), (7050, 40, 3), (7050, 43, 2), (7050, 49, 3)]
+# Family draws as (seed, scale, round, draw): the draw-th of the round-th
+# call of _family_draws on default_rng(seed), budgets times scale.  The
+# step rule's run leaves one direction of each open, and would refuse it.
+# At 50 times the benchmark's budgets, on the first two mu climbs past
+# 1e30 until the iterate stops being finite, and the next three end
+# 1.6e-9 to 1.4e-8 short of the gap.  The last is a zero-cell draw at the
+# benchmark's own budgets, whose direction (0, 1) takes 210 steps in all.
+# Only the fixed-step restart answers them.
+_RESTART_DRAWS = [(1050, 50.0, 10, 2), (1050, 50.0, 10, 11), (7050, 50.0, 40, 3),
+                  (7050, 50.0, 43, 2), (7050, 50.0, 49, 3), (6, 1.0, 0, 2)]
 
 
-@pytest.mark.parametrize("seed, rounds, index", _RESTART_DRAWS)
-def test_wide_family_draws_that_need_the_restart_are_answered(seed, rounds, index):
+@pytest.mark.parametrize("seed, scale, rounds, index", _RESTART_DRAWS,
+                         ids=[f"{seed}-{rounds}-{index}"
+                              for seed, _, rounds, index in _RESTART_DRAWS])
+def test_wide_family_draws_that_need_the_restart_are_answered(seed, scale, rounds, index):
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
-        list(_family_draws(rng, 50.0))
-    fam, prior, budget, a = list(_family_draws(rng, 50.0))[index]
+        list(_family_draws(rng, scale))
+    fam, prior, budget, a = list(_family_draws(rng, scale))[index]
     cert = nu_exact(prior, budget, a)
     assert len(cert.restarted) == 1, fam
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL, fam
