@@ -151,6 +151,9 @@ def cmd_nu(args, report: dict) -> int:
     lp_cap = DEFAULT_LP_CAP if args.lp_cap is None else _positive(args.lp_cap, "--lp-cap")
     results = report["results"]
     results.update(n=prior.n, target=args.target, method=args.method)
+    if args.witness_out and args.method not in ("exact", "all"):
+        raise ParseError(f"--witness-out needs the exact LP's witness, which --method "
+                         f"{args.method} does not compute")
     try:
         found = leakage(prior, budget, args.target, args.method, cap=cap, lp_cap=lp_cap)
     except UnsupportedPrior as exc:
@@ -169,15 +172,17 @@ def cmd_nu(args, report: dict) -> int:
             lp_steps={_direction(z): k for z, k in sorted(cert.steps.items())},
             lp_restarted=[_direction(z) for z in cert.restarted],
             lp_stopped={_direction(z): list(v) for z, v in sorted(cert.stopped.items())})
+        if args.witness_out:
+            save_mechanism(args.witness_out, cert.witness)
+            results["witness_file"] = args.witness_out
+    elif args.witness_out:
+        raise ParseError("--witness-out needs the exact LP's witness, and the LP was skipped")
     answer = found.answers.get(args.method)
     if args.method == "exact":
         per_direction = sorted(answer.per_direction.items())
         results.update(nu_upper=answer.nu_upper, direction=list(answer.direction),
                        lp_objective=answer.lp_objective,
                        per_direction={_direction(z): v for z, v in per_direction})
-        if args.witness_out:
-            save_mechanism(args.witness_out, answer.witness)
-            results["witness_file"] = args.witness_out
     elif args.method == "closed-form":
         results.update(winning_z=answer.winning_z, numerator=answer.numerator,
                        denominator=answer.denominator)

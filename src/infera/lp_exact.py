@@ -81,6 +81,11 @@ GAP_TOL = 1e-9
 # directions that tie in exact arithmetic keep value order.
 _DIRECTION_GAP = 0.5 * GAP_TOL
 _MAX_ITER = 200
+# A step goes max(_STEP, min(1 - mu, cap)) of the way to the boundary, mu
+# the mean complementarity.  At cap _STEP_CAP the factor tends to one as
+# mu falls, which gives the method its superlinear tail; it stays 2**-30
+# short of one, as at one a step lands on the boundary and the iterate
+# stops being finite.  At cap _STEP it is the fixed step _STEP.
 _STEP = 0.99
 _STEP_CAP = 1.0 - 2.0**-30
 _AUDIT_TOL = 1e-9
@@ -245,18 +250,6 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.minimum.reduce(-v[neg] / dv[neg], initial=np.inf)))
 
 
-def _adaptive_step(mu: float) -> float:
-    """Step factor that tends to one as the mean complementarity mu falls,
-    which gives the method its superlinear tail.  It stays 2**-30 short of
-    one: at one a step lands on the boundary, and the iterate stops being
-    finite."""
-    return max(_STEP, min(1.0 - mu, _STEP_CAP))
-
-
-def _fixed_step(mu: float) -> float:
-    return _STEP
-
-
 def _attained(c: np.ndarray, e: np.ndarray, w: np.ndarray) -> float:
     """ln c.m / e.m of the profile m = e^w; NaN where that is not finite,
     as where its mass underflows on either face."""
@@ -265,24 +258,19 @@ def _attained(c: np.ndarray, e: np.ndarray, w: np.ndarray) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _bounds(prim, dual, t, c, e, rows, kernel, eps, alph):
-    """(lower, upper, w, rd): the certificate of the iterate (module
-    docstring), the log-witness w attaining lower, and the dual residual
-    rd, which the next step starts from."""
+def _upper(y, t, c, e, rows, kernel):
+    """ln(t + sum_x max(0, c - A^T y - t e)(x) / K(x)), the upper bound on
+    ln max c.u / e.u at the dual point (y >= 0, t) (module docstring)."""
     lo, hi, gain, size, _, _, rounding = rows
-    u, y = prim[:size], dual[size:]
-    with np.errstate(all="ignore"):
-        w = _envelope(np.log(u), eps, alph)
-        pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
-        resid = c - (pos - neg) - t * e
-        rd = -resid - dual[:size]
-        # The upper bound must not drop below the truth when A^T y cancels.
-        resid += rounding * (pos + neg + abs(t) * e + c)
-        excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
-        return _attained(c, e, w), float(np.log(t + excess.sum())), w, rd
+    pos, neg = np.bincount(lo, y, size), np.bincount(hi, gain * y, size)
+    resid = c - (pos - neg) - t * e
+    # The upper bound must not drop below the truth when A^T y cancels.
+    resid += rounding * (pos + neg + abs(t) * e + c)
+    excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
+    return float(np.log(t + excess.sum()))
 
 
-def _step(prim, dual, t, rd, e, rows, step_factor):
+def _step(prim, dual, t, c, e, rows, cap):
     """The iterate (prim, dual, t) after one predictor-corrector step, or
     None when the normal matrix has no Cholesky factor.  The normal
     matrix, its factor and the step's temporaries die here, so a direction
@@ -301,7 +289,7 @@ def _step(prim, dual, t, rd, e, rows, step_factor):
         # Newton system is H du + dt e = g, e.du = re,
         # H = A^T diag(y/s) A + diag(z/u).
         u, s, z, y = prim[:size], prim[size:], dual[:size], dual[size:]
-        rp, re = a_mul(u) + s, 1.0 - e @ u
+        rp, re, rd = a_mul(u) + s, 1.0 - e @ u, at_mul(y) - c + t * e - z
         mu = (u @ z + s @ y) / (size + nrows)
         ratio = dual / prim
         zu, ys = ratio[:size], ratio[size:]
@@ -340,44 +328,36 @@ def _step(prim, dual, t, rd, e, rows, step_factor):
         gap_aff = pa[:size] @ da[:size] + pa[size:] @ da[size:]
         sigma_mu = (gap_aff / (size + nrows) / mu) ** 3 * mu
         dp, dd, dt = newton(sigma_mu - prim * dual - dp * dd)
-        eta = step_factor(mu)
+        eta = max(_STEP, min(1.0 - mu, cap))
         ad = eta * _max_step(dual, dd)
         return prim + eta * _max_step(prim, dp) * dp, dual + ad * dd, t + ad * dt
 
 
-def _interior_point(c, e, rows, eps, alph, step_factor, bounds):
-    """One interior-point run whose step factor is step_factor(mu), as a
-    generator: after each certificate it yields (lower, upper, w, steps),
-    the best bounds on ln max c.u / e.u so far, the log-witness w
-    attaining lower and the steps taken.  It starts from bounds, such a
-    state: (-inf, inf, seed, 0), seed a log-profile meeting the budget,
-    or the state an earlier run ended in, whose bounds hold whatever
-    iterate they came from, and tightens them by what w attains and by
-    the upper bound at y = 0 and t = 0.  The run ends once the bounds
-    meet within _DIRECTION_GAP, after certifying the iterate of step
-    _MAX_ITER, or when an iterate or a bound is not finite; in the last
-    case it yields its bounds once more with the steps taken.  The
-    iterate is two vectors, the primal [u, s] and the dual [z, y], so
-    each side moves as one."""
+def _interior_point(c, e, rows, eps, alph, kernel, cap, state):
+    """One interior-point run at the step cap cap, as a generator: after
+    each certificate it yields (lower, upper, w, steps), the best bounds
+    on ln max c.u / e.u so far, the log-witness w attaining lower and the
+    steps taken.  It starts from state, such a tuple whose bounds hold
+    whatever iterate they came from, and tightens them by what the
+    envelope of each iterate's ln u attains and by _upper at its duals,
+    kernel being K of e.  The run ends once the bounds meet within
+    _DIRECTION_GAP, after certifying the iterate of step _MAX_ITER, or
+    when an iterate or a bound is not finite; in the last case it yields
+    its bounds once more with the steps taken.  The iterate is two
+    vectors, the primal [u, s] and the dual [z, y], so each side moves as
+    one."""
     size, gain = rows.size, rows.gain
-    kernel = _kernel(e, eps, alph)
     # u = 1 meets e.u = 1 and every row within its slack; the duals put
     # each product u z and s y at 1/size.
     prim, t = np.concatenate([np.ones(size), gain]), 1.0
     dual = np.concatenate([np.full(size, 1.0 / size), 1.0 / (size * gain)])
-    lower, upper, witness, before = bounds
-    with np.errstate(all="ignore"):
-        first = _attained(c, e, witness)
-        # The upper bound at y = 0 and t = 0 (module docstring).
-        resid = c * (1.0 + rows.rounding)
-        excess = np.divide(resid, kernel, out=np.zeros(size), where=resid > 0.0)
-        upper = min(upper, float(np.log(excess.sum())))
-    if first > lower:
-        lower = first
+    lower, upper, witness, before = state
     for it in range(_MAX_ITER + 1):
         if not (np.isfinite(prim).all() and np.isfinite(dual).all() and math.isfinite(t)):
             break
-        low_here, up_here, w, rd = _bounds(prim, dual, t, c, e, rows, kernel, eps, alph)
+        with np.errstate(all="ignore"):
+            w = _envelope(np.log(prim[:size]), eps, alph)
+            low_here, up_here = _attained(c, e, w), _upper(dual[size:], t, c, e, rows, kernel)
         if math.isnan(low_here) or math.isnan(up_here):
             break
         if low_here > lower:
@@ -386,7 +366,7 @@ def _interior_point(c, e, rows, eps, alph, step_factor, bounds):
         yield lower, upper, witness, before + it
         if upper - lower <= _DIRECTION_GAP or it == _MAX_ITER:
             return
-        stepped = _step(prim, dual, t, rd, e, rows, step_factor)
+        stepped = _step(prim, dual, t, c, e, rows, cap)
         if stepped is None:
             return
         prim, dual, t = stepped
@@ -479,20 +459,28 @@ def nu_exact(
     eps_a = float(budget.eps[a])
     directions = [(z0, z1) for z0 in supported for z1 in supported if z0 != z1]
 
-    def run(z, step_factor, bounds):
-        return _interior_point(cond[z[1]], cond[z[0]], rows, eps, alph, step_factor, bounds)
+    kernels = {z: _kernel(cond[z], eps, alph) for z in supported}
+    # Direction (z0, z1) starts from the maximally z1-biased profile, which
+    # meets the budget and is optimal for affiliated priors, unless its
+    # mass underflows, and from the upper bound at y = 0 and t = 0.
+    starts = {}
+    for z0, z1 in directions:
+        seed = max_biased_log(eps, z1, alph)
+        with np.errstate(all="ignore"):
+            lower = _attained(cond[z1], cond[z0], seed)
+            upper = _upper(np.zeros(rows.lo.size), 0.0, cond[z1], cond[z0], rows, kernels[z0])
+        starts[z0, z1] = (-math.inf if math.isnan(lower) else lower, upper, seed, 0)
 
-    # The maximally z1-biased profile meets the budget and is optimal for
-    # affiliated priors: it seeds the lower bound of direction (z0, z1).
-    first = _lockstep({z: run(z, _adaptive_step, (-math.inf, math.inf,
-                                                  max_biased_log(eps, z[1], alph), 0))
-                       for z in directions})
+    def run(z, cap, state):
+        return _interior_point(cond[z[1]], cond[z[0]], rows, eps, alph, kernels[z[0]], cap, state)
+
+    first = _lockstep({z: run(z, _STEP_CAP, starts[z]) for z in directions})
     best_lower = max(state[0] for state in first.values())
     # A direction the step rule leaves open that can still win runs again
     # at the fixed _STEP, from the bounds it has.
     restarted = [z for z, (lower, upper, _, _) in first.items()
                  if upper - lower > _DIRECTION_GAP and upper > best_lower + _DIRECTION_GAP]
-    states = {**first, **_lockstep({z: run(z, _fixed_step, first[z]) for z in restarted},
+    states = {**first, **_lockstep({z: run(z, _STEP, first[z]) for z in restarted},
                                    best_lower)}
     best_lower = max(state[0] for state in states.values())
     best = None

@@ -141,14 +141,15 @@ def test_closed_form_has_no_force_option(write_json, capsys):
     assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
-def test_nu_witness_round_trip(write_json, capsys, tmp_path):
+@pytest.mark.parametrize("method", ["exact", "all"])
+def test_nu_witness_round_trip(write_json, capsys, tmp_path, method):
     path = write_json("parity.json", PARITY)
     wpath = str(tmp_path / "witness.json")
     code, report = _run(
         capsys,
-        ["nu", "--dist", path, "--eps", "0.2", "--witness-out", wpath],
+        ["nu", "--dist", path, "--eps", "0.2", "--method", method, "--witness-out", wpath],
     )
-    assert code == 0
+    assert code == 0 and report["results"]["witness_file"] == wpath
     nu = report["results"]["nu"]
     with open(wpath) as fh:
         obj = json.load(fh)
@@ -157,6 +158,20 @@ def test_nu_witness_round_trip(write_json, capsys, tmp_path):
     assert np.all(dp_audit(prof).eps <= 0.2 + 1e-7)
     d = parity_constrained(2, 2)
     assert abs(mechanism_nu(d, prof, 0) - nu) <= 1e-7
+
+
+@pytest.mark.parametrize("argv", [["--method", "gibbs"], ["--method", "all", "--lp-cap", "1"]],
+                         ids=["gibbs", "all-lp-skipped"])
+def test_nu_witness_out_without_the_lp_is_refused(write_json, capsys, tmp_path, argv):
+    # The witness is the exact LP's: a run that does not answer by the LP
+    # must not drop the flag in silence.
+    path = write_json("tree3.json", TREE3)
+    wpath = tmp_path / "witness.json"
+    code = main(["nu", "--dist", path, "--eps", "0.2", "--witness-out", str(wpath)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not wpath.exists()
+    assert "--witness-out needs the exact LP's witness" in captured.err
+    assert "unexpected" not in captured.err
 
 
 def test_nu_rejects_bad_eps_arity(write_json, capsys):

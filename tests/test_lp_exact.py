@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import infera.lp_exact as lp_exact
 from conftest import random_budget, random_prior
 from infera.affiliated import nu_closed_form, random_affiliated
-from infera.dist import (cell_fold, cell_tensor, from_dense, parity_constrained,
+from infera.dist import (cell_fold, cell_tensor, faces, from_dense, parity_constrained,
                          perfectly_correlated, product)
 from infera.errors import DegenerateDistribution, DimensionMismatch, LPError, SizeCap
 from infera.ising import tree_prior
 from infera.lp_exact import GAP_TOL, _max_step, nu_exact
 from infera.mechanism import EventProfile, PrivacyBudget, dp_audit, mechanism_nu
-from lp_oracle import nu_grid_search, nu_vertex_enumeration
+from lp_oracle import _direction_value_vertices, nu_grid_search, nu_vertex_enumeration
 
 # A product prior whose LP is highly degenerate: the benchmark's
 # pivot-limit input, digit for digit.
@@ -309,6 +309,68 @@ def test_iteration_cap_certifies_its_last_iterate(monkeypatch):
     assert abs(cert.nu - truth) <= 1e-9
 
 
+def test_a_normal_matrix_without_a_cholesky_factor_ends_the_run_with_its_bounds():
+    # The factorization fails after k good ones: the run that meets it ends
+    # with the bounds it has, and the refusal brackets the oracle's value.
+    rng = np.random.default_rng(3)
+    d = from_dense(3, 2, rng.uniform(0.05, 1.0, 8))
+    b = PrivacyBudget(rng.uniform(0.05, 1.0, 3))
+    truth = nu_vertex_enumeration(d, b.eps, 0)
+    cholesky = np.linalg.cholesky
+    for k in range(4):
+        calls = []
+
+        def failing(m, calls=calls, k=k):
+            calls.append(None)
+            if len(calls) > k:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(m)
+
+        with mock.patch.object(np.linalg, "cholesky", failing):
+            with pytest.raises(LPError, match="not certified") as exc:
+                nu_exact(d, b, 0)
+        lower, upper = (float(v) for v in
+                        re.search(r"nu in \[(\S+), (\S+)\]", str(exc.value)).groups())
+        assert lower <= truth <= upper, k
+
+
+@st.composite
+def _dual_points(draw):
+    """(prior, eps, a, rng): a dense binary prior over 2 or 3 coordinates,
+    every cell positive, under eps_i ~ s U[0.05, 1) with s up to 5, and
+    the generator that draws the dual points."""
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = from_dense(n, 2, rng.uniform(0.05, 1.0, 2**n))
+    eps = draw(st.floats(0.05, 5.0)) * rng.uniform(0.05, 1.0, n)
+    return prior, eps, draw(st.integers(0, n - 1)), rng
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_dual_points())
+def test_the_upper_bound_holds_at_any_dual_point(case):
+    # The certificate is weak duality, so it must hold at any y >= 0 and
+    # any t, the solver's iterates or not, also where A^T y cancels.
+    prior, eps, a, rng = case
+    n = prior.n
+    assert lp_exact._dependence_block(prior, a)[0] == list(range(n))
+    rest = np.delete(eps, a)
+    rows = lp_exact._ratio_rows(n - 1, 2, np.exp(rest))
+    cond = [face / face.sum() for face in faces(prior.probs, n, 2, a)]
+    for z0, z1 in ((0, 1), (1, 0)):
+        c, e = cond[z1], cond[z0]
+        kernel = lp_exact._kernel(e, rest, 2)
+        truth = math.log(_direction_value_vertices(prior, eps, a, z0, z1))
+        start = lp_exact._upper(np.zeros(rows.lo.size), 0.0, c, e, rows, kernel)
+        assert start == pytest.approx(math.log(np.sum(c * (1.0 + rows.rounding) / kernel)),
+                                      rel=0.0, abs=1e-14)
+        for _ in range(20):
+            y = 10.0 ** rng.uniform(-3.0, 6.0) * rng.uniform(0.0, 1.0, rows.lo.size)
+            t = 10.0 ** rng.uniform(-3.0, 6.0) * rng.uniform(-1.0, 1.0)
+            upper = eps[a] + lp_exact._upper(y, t, c, e, rows, kernel)
+            assert not math.isnan(upper) and upper >= truth - 1e-12, (z0, z1, y, t)
+
+
 def _family_draws(rng, scale=1.0):
     """Two n=6 draws of each family of the exact-lp benchmark, built by the
     library, each budget times scale: (name, prior, budget, target)."""
@@ -340,12 +402,12 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
     # keeps the values but converges more slowly, or stops fewer of the
     # directions that cannot win, fails here.  No direction is restarted.
     most_steps, total_steps = 9, 101
-    steps, factors, total = [], [], 0
+    steps, caps, total = [], [], 0
 
     def counted(*args):
         k = len(steps)
         steps.append(0)
-        factors.append(args[5])
+        caps.append(args[6])
         for state in _INTERIOR_POINT(*args):
             steps[k] = state[3]
             yield state
@@ -358,16 +420,16 @@ def test_interior_point_converges_within_its_step_budget(monkeypatch):
         assert sorted(cert.steps.values()) == sorted(steps) and cert.restarted == ()
         total += sum(steps)
     assert total <= total_steps
-    assert lp_exact._fixed_step not in factors
+    assert lp_exact._STEP not in caps
 
 
 # Wrapped by the tests that patch lp_exact._interior_point.
 _INTERIOR_POINT = lp_exact._interior_point
 
 
-def _fixed_step_only(c, e, rows, eps, alph, step_factor, bounds):
-    """_interior_point at the fixed step factor, whichever it was given."""
-    return _INTERIOR_POINT(c, e, rows, eps, alph, lp_exact._fixed_step, bounds)
+def _fixed_step_only(c, e, rows, eps, alph, kernel, cap, state):
+    """_interior_point at the fixed step, whichever cap it was given."""
+    return _INTERIOR_POINT(c, e, rows, eps, alph, kernel, lp_exact._STEP, state)
 
 
 def _run_out(run):
@@ -405,7 +467,7 @@ def test_the_step_rule_certifies_wherever_the_fixed_step_does(case):
     calls = []
 
     def both(*args):
-        if args[5] is lp_exact._fixed_step:
+        if args[6] == lp_exact._STEP:
             yield from _INTERIOR_POINT(*args)
             return
         *_, fixed = _fixed_step_only(*args)
@@ -438,7 +500,7 @@ def test_stopping_directions_that_cannot_win_keeps_the_answer(case):
     calls = []
 
     def full(*args):
-        if args[5] is lp_exact._adaptive_step:
+        if args[6] == lp_exact._STEP_CAP:
             calls.append(args)
         return _run_out(_INTERIOR_POINT(*args))
 
@@ -479,7 +541,7 @@ def test_a_direction_the_step_rule_leaves_open_that_cannot_win_is_not_restarted(
                         lambda *args: _run_out(_INTERIOR_POINT(*args)))
     capped = nu_exact(prior, budget, a)
     assert capped.restarted == () and capped.stopped == {} and len(capped.steps) == 12
-    monkeypatch.setattr(lp_exact, "_adaptive_step", lambda mu: max(lp_exact._STEP, 1.0 - mu))
+    monkeypatch.setattr(lp_exact, "_STEP_CAP", 1.0)
     cert = nu_exact(prior, budget, a)
     lower, upper = cert.stopped.pop((1, 3))
     assert cert.restarted == () and cert.stopped == {}
@@ -487,7 +549,7 @@ def test_a_direction_the_step_rule_leaves_open_that_cannot_win_is_not_restarted(
     assert upper < cert.nu and cert.per_direction[(1, 3)] == upper
     assert cert.nu <= cert.nu_upper <= cert.nu + GAP_TOL
     assert abs(cert.nu - capped.nu) <= GAP_TOL
-    monkeypatch.setattr(lp_exact, "_adaptive_step", lp_exact._fixed_step)
+    monkeypatch.setattr(lp_exact, "_STEP_CAP", lp_exact._STEP)
     fixed = nu_exact(prior, budget, a)
     assert abs(cert.nu - fixed.nu) <= GAP_TOL
     assert cert.nu <= fixed.nu_upper and fixed.nu <= cert.nu_upper
