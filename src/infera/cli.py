@@ -176,7 +176,8 @@ def cmd_nu(args, report: dict) -> int:
             save_mechanism(args.witness_out, cert.witness)
             results["witness_file"] = args.witness_out
     elif args.witness_out:
-        raise ParseError("--witness-out needs the exact LP's witness, and the LP was skipped")
+        # Only "all" gets here, and the LP, tried first, warned first.
+        raise ParseError(f"--witness-out needs the exact LP's witness: {found.warnings[0]}")
     answer = found.answers.get(args.method)
     if args.method == "exact":
         per_direction = sorted(answer.per_direction.items())
